@@ -4,6 +4,8 @@
 // calibration in EXPERIMENTS.md rests on.
 #include <benchmark/benchmark.h>
 
+#include <ctime>
+#include <functional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -199,6 +201,53 @@ void BM_ApiServerCreate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApiServerCreate);
+
+// Per-commit cost of the apiserver watch cache: a Put (Create) plus a fresh
+// Get of the same kind while range(0) kinds are cached. The Get waits until
+// the cache has applied the Put, so the loop pays the whole read-your-write
+// round trip. process_cpu_us counts every thread (apply strands included),
+// which is where caching more kinds shows: one cache per store stays flat in
+// the kind count, one cache per kind wakes every cached kind on every commit.
+void BM_ApiServerPutCachedKinds(benchmark::State& state) {
+  apiserver::APIServer server({});
+  const std::vector<std::function<void()>> warm = {
+      [&] { (void)server.List<api::Pod>(); },
+      [&] { (void)server.List<api::Service>(); },
+      [&] { (void)server.List<api::Endpoints>(); },
+      [&] { (void)server.List<api::Node>(); },
+      [&] { (void)server.List<api::NamespaceObj>(); },
+      [&] { (void)server.List<api::Secret>(); },
+      [&] { (void)server.List<api::ConfigMap>(); },
+      [&] { (void)server.List<api::ServiceAccount>(); },
+      [&] { (void)server.List<api::PersistentVolume>(); },
+      [&] { (void)server.List<api::PersistentVolumeClaim>(); },
+      [&] { (void)server.List<api::ReplicaSet>(); },
+      [&] { (void)server.List<api::Deployment>(); },
+  };
+  for (int64_t k = 0; k < state.range(0) && k < static_cast<int64_t>(warm.size()); ++k) {
+    warm[k]();
+  }
+  auto process_cpu = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e6 + static_cast<double>(ts.tv_nsec) / 1e3;
+  };
+  int i = 0;
+  const double cpu0 = process_cpu();
+  for (auto _ : state) {
+    api::Pod p = BenchPod(i++);
+    const std::string name = p.meta.name;
+    if (!server.Create(std::move(p)).ok()) std::abort();
+    Result<api::Pod> got = server.Get<api::Pod>("default", name);
+    if (!got.ok()) std::abort();
+    benchmark::DoNotOptimize(got);
+  }
+  state.counters["process_cpu_us"] = benchmark::Counter(
+      process_cpu() - cpu0, benchmark::Counter::kAvgIterations);
+  state.counters["cache_served_gets"] =
+      static_cast<double>(server.stats().cache_served_gets.load());
+}
+BENCHMARK(BM_ApiServerPutCachedKinds)->Arg(1)->Arg(12)->UseRealTime();
 
 void BM_WorkQueueAddGetDone(benchmark::State& state) {
   client::WorkQueue q;

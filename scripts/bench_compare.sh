@@ -19,8 +19,10 @@ cd "$(dirname "$0")/.."
 BASELINE_REF="${BASELINE_REF:-HEAD~1}"
 OUT="${OUT:-BENCH_storage.json}"
 # BM_DispatchAdmit runs as a /0 (untraced) vs /1 (traced) axis on checkouts
-# that have vc::trace; BM_TraceRecord is the raw per-event Emit cost.
-FILTER='BM_WatchFanout|BM_ListZeroCopy|BM_ApiServerListSelective|BM_KvPut|BM_KvGet|BM_KvList|BM_FairQueueDequeue|BM_DispatchAdmit|BM_TraceRecord'
+# that have vc::trace; BM_TraceRecord is the raw per-event Emit cost;
+# BM_ApiServerPutCachedKinds/{1,12} is the watch cache's per-commit cost as
+# the number of cached kinds grows.
+FILTER='BM_WatchFanout|BM_ListZeroCopy|BM_ApiServerListSelective|BM_ApiServerPutCachedKinds|BM_KvPut|BM_KvGet|BM_KvList|BM_FairQueueDequeue|BM_DispatchAdmit|BM_TraceRecord'
 NPROC="$(nproc)"
 
 build_and_run() {  # $1 = source dir, $2 = result json, $3 = text-output dir
@@ -98,7 +100,8 @@ def load(path):
             "cpu_time": b["cpu_time"],
             "time_unit": b["time_unit"],
             **{k: b[k] for k in ("items_per_second", "bytes_per_second",
-                                 "decode_reduction", "decoded_bytes") if k in b},
+                                 "decode_reduction", "decoded_bytes",
+                                 "process_cpu_us") if k in b},
         }
     return out
 

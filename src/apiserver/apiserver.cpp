@@ -27,6 +27,9 @@ APIServer::APIServer(Options opts) : opts_(std::move(opts)) {
   dopts.best_effort_max_wait = opts_.best_effort_max_wait;
   dispatcher_ = std::make_unique<RequestDispatcher>(dopts);
   decode_cache_ = std::make_shared<DecodeCache>();
+  if (opts_.enable_watch_cache) {
+    cache_ = std::make_unique<WatchCache>(store_.get(), decode_cache_, exec_);
+  }
   if (opts_.create_default_namespaces) {
     for (const char* ns : {"default", "kube-system"}) {
       api::NamespaceObj n;
@@ -69,7 +72,8 @@ void APIServer::Restart() {
             << ")";
   if (owns_store()) {
     // Single-apiserver mode: apiserver + etcd restart together, every watch
-    // on the store (including other components') breaks with Gone.
+    // on the store (including other components' and the watch cache's)
+    // breaks with Gone.
     store_->BreakWatches();
   } else {
     // Shared-store mode: only THIS front end crashed. Break the watches it
@@ -82,16 +86,10 @@ void APIServer::Restart() {
     for (const std::weak_ptr<kv::WatchChannel>& w : vended) {
       if (std::shared_ptr<kv::WatchChannel> ch = w.lock()) ch->CloseGone();
     }
+    if (cache_) cache_->BreakWatch();
   }
-  // Drop the per-front-end watch caches (each holds its own store watch —
-  // destroyed here, re-primed lazily on the next read) and reset the
-  // dispatcher's inflight accounting; old-epoch tickets release as no-ops.
-  std::map<std::string, std::shared_ptr<void>> dropped;
-  {
-    std::lock_guard<std::mutex> l(cache_mu_);
-    dropped.swap(caches_);
-  }
-  dropped.clear();  // destroys caches outside cache_mu_
+  // The watch cache rebuilds from a fresh snapshot on its own strand. Reset
+  // the dispatcher's inflight accounting; old-epoch tickets release as no-ops.
   dispatcher_->Reset();
 }
 

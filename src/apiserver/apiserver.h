@@ -4,7 +4,7 @@
 // instance, matching the paper's deployment ("each tenant control plane used
 // a dedicated etcd"). A control plane may also scale its serving tier OUT:
 // several APIServer front ends can share one store (Options::store), each
-// with its own watch-cache replicas, dispatcher, and rate limits, while
+// with its own watch cache, dispatcher, and rate limits, while
 // writes CAS into the shared store — revision semantics and the watch
 // no-gap/no-dup contract are unchanged because there is still exactly one
 // revision counter (see FrontendTier).
@@ -103,7 +103,7 @@ class TypedWatch {
     if (decode_) {
       // DecodeCache key: +rev = the event's value blob, -rev = its prev_value
       // blob (revisions are store-wide unique, so this names exactly one
-      // blob). Every TypedWatch and the WatchCache share one parse per event.
+      // blob). Every TypedWatch and the watch cache share one parse per event.
       Result<std::shared_ptr<const T>> obj =
           decode_->GetOrDecode<T>(is_put ? e->revision : -e->revision, blob, e->revision);
       if (!obj.ok()) return obj.status();
@@ -168,7 +168,7 @@ struct ServerStats {
   // list decodes NOTHING: objects come pre-decoded from the watch cache.
   std::atomic<uint64_t> list_bytes_scanned{0};
   std::atomic<uint64_t> list_bytes_decoded{0};
-  // Reads answered by the per-kind watch cache (no store List, no decode).
+  // Reads answered by the watch cache (no store List, no decode).
   std::atomic<uint64_t> cache_served_gets{0};
   std::atomic<uint64_t> cache_served_lists{0};
 
@@ -239,7 +239,7 @@ class APIServer {
     // When set, this front end SERVES the given store instead of owning a
     // dedicated one — the multi-front-end mode (see FrontendTier). The store
     // keeps the single revision counter; this front end keeps its own watch
-    // caches, dispatcher, rate limits, and stats.
+    // cache, dispatcher, rate limits, and stats.
     std::shared_ptr<kv::KvStore> store;
     // Per-identity rate limit; 0 = unlimited. The paper notes tenant control
     // planes run with built-in rate limits enabled (§III-C).
@@ -263,7 +263,7 @@ class APIServer {
     size_t queue_limit = 1024;
     Duration max_queue_wait = Seconds(1);
     Duration best_effort_max_wait = Millis(50);
-    // Per-kind watch cache serving Get and unpaged List from decoded objects
+    // Store-wide watch cache serving Get and unpaged List from decoded objects
     // (kube's watchCache). Reads fall back to the store whenever the cache
     // cannot answer with read-your-write freshness within cache_fresh_timeout
     // (real time, like kube's waitUntilFreshAndBlock deadline).
@@ -291,9 +291,11 @@ class APIServer {
   const std::shared_ptr<kv::KvStore>& shared_store() const { return store_; }
   bool owns_store() const { return !opts_.store; }
   RequestDispatcher& dispatcher() { return *dispatcher_; }
+  // Null when Options::enable_watch_cache is off.
+  WatchCache* watch_cache() const { return cache_.get(); }
 
   // Simulates a crash-restart of THIS front end: every watch it vended (and
-  // its watch caches) breaks with Gone, and its dispatcher's inflight
+  // its watch cache's) breaks with Gone, and its dispatcher's inflight
   // accounting resets. Reflectors must relist. A front end that owns its
   // store additionally breaks all store watches (the single-apiserver
   // apiserver+etcd restart of old); one that serves a shared store leaves the
@@ -355,10 +357,10 @@ class APIServer {
     Result<RequestDispatcher::Ticket> ticket = Admit("get", T::kKind, ns, ctx);
     if (!ticket.ok()) return ticket.status();
     stats_.gets++;
-    if (opts_.enable_watch_cache) {
-      std::shared_ptr<WatchCache<T>> cache = CacheFor<T>();
-      Result<std::shared_ptr<const T>> hit = cache->GetFresh(
-          Key<T>(ns, name), store_->RevisionFence(), opts_.cache_fresh_timeout);
+    if (cache_) {
+      Result<std::shared_ptr<const T>> hit =
+          cache_->GetFresh<T>(KindPrefix<T>(), Key<T>(ns, name), store_->RevisionFence(),
+                              opts_.cache_fresh_timeout);
       if (hit.ok()) {
         stats_.cache_served_gets++;
         return T(**hit);  // resource_version already stamped at decode
@@ -396,30 +398,29 @@ class APIServer {
     if (!fields.ok()) return fields.status();
     const bool selecting = !labels->Empty() || !fields->Empty();
     std::string prefix = opts.ns.empty() ? KindPrefix<T>() : Key<T>(opts.ns, "");
-    // Unpaged lists are served from the per-kind watch cache: objects are
+    // Unpaged lists are served from the watch cache: objects are
     // already decoded, so selection costs at most a field-selector scan and
     // matching costs ZERO decode bytes. Paged / continue-token reads keep the
     // store path (their snapshot is pinned to a past revision the cache no
     // longer holds).
-    if (opts_.enable_watch_cache && opts.limit == 0 && opts.continue_token.empty()) {
-      std::shared_ptr<WatchCache<T>> cache = CacheFor<T>();
+    if (cache_ && opts.limit == 0 && opts.continue_token.empty()) {
       const std::vector<std::string> paths = fields->Paths();
       TypedList<T> out;
-      const bool served = cache->SnapshotScan(
-          prefix, store_->RevisionFence(), opts_.cache_fresh_timeout, &out.revision,
-          [&](const std::string&, const typename WatchCache<T>::Item& item) {
+      const bool served = cache_->SnapshotScan<T>(
+          KindPrefix<T>(), prefix, store_->RevisionFence(), opts_.cache_fresh_timeout,
+          &out.revision, [&](const T& obj, const kv::Blob& blob) {
             if (selecting) {
-              if (!labels->Empty() && !labels->Matches(item.obj->meta.labels)) return;
+              if (!labels->Empty() && !labels->Matches(obj.meta.labels)) return;
               if (!fields->Empty()) {
-                stats_.list_bytes_scanned += item.blob.size();
+                stats_.list_bytes_scanned += blob.size();
                 api::ObjectScan scan;
-                if (!api::ScanObjectBlob(item.blob.str(), paths, &scan)) return;
+                if (!api::ScanObjectBlob(blob.str(), paths, &scan)) return;
                 if (!scan.name.empty()) scan.fields["metadata.name"] = scan.name;
                 if (!scan.ns.empty()) scan.fields["metadata.namespace"] = scan.ns;
                 if (!fields->Matches(scan.fields)) return;
               }
             }
-            out.items.push_back(*item.obj);
+            out.items.push_back(obj);
           });
       if (served) {
         stats_.cache_served_lists++;
@@ -647,21 +648,6 @@ class APIServer {
   // watch teardown when the store is shared).
   void TrackWatch(const std::shared_ptr<kv::WatchChannel>& ch) const;
 
-  // Lazily builds the per-kind watch cache (first typed read pays the priming
-  // list). Keyed by T::kKind; the shared_ptr<void> erases the type while
-  // keeping the right destructor. Returned shared so a concurrent Restart()
-  // (which drops the map) cannot pull the cache out from under a reader.
-  template <typename T>
-  std::shared_ptr<WatchCache<T>> CacheFor() const {
-    std::lock_guard<std::mutex> l(cache_mu_);
-    std::shared_ptr<void>& slot = caches_[T::kKind];
-    if (!slot) {
-      slot = std::make_shared<WatchCache<T>>(store_.get(), KindPrefix<T>(),
-                                             decode_cache_, exec_);
-    }
-    return std::static_pointer_cast<WatchCache<T>>(slot);
-  }
-
   // Mirrors the store's replay-log pressure into the stats gauges; called
   // after every successful mutation (all O(1) reads under a shared lock).
   void RefreshStoreGauges() const {
@@ -672,8 +658,8 @@ class APIServer {
   }
 
   Options opts_;
-  // Shared executor hosting the store's dispatch strand and the watch caches'
-  // apply strands. Declared before store_/caches_ so it outlives them.
+  // Shared executor hosting the store's dispatch strand and the watch cache's
+  // apply strand. Declared before store_/cache_ so it outlives them.
   std::shared_ptr<Executor> exec_;
   // Owned (opts_.store unset) or shared with sibling front ends.
   std::shared_ptr<kv::KvStore> store_;
@@ -686,10 +672,9 @@ class APIServer {
   // Watch channels this front end vended, for per-front-end Restart().
   mutable std::mutex watches_mu_;
   mutable std::vector<std::weak_ptr<kv::WatchChannel>> vended_watches_;
-  // Per-kind watch caches. Declared after store_ so they are destroyed first
-  // (each holds a live watch on the store).
-  mutable std::mutex cache_mu_;
-  mutable std::map<std::string, std::shared_ptr<void>> caches_;
+  // The store-wide watch cache (null when disabled). Declared after store_
+  // so it is destroyed — its store watch detached — first.
+  std::unique_ptr<WatchCache> cache_;
   // LAST member: publishes stats_ under opts_.name in the process-wide
   // registry; must unregister before the data above dies.
   MetricsRegistry::Registration metrics_reg_;

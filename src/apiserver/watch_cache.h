@@ -5,12 +5,15 @@
 //     One write produces one blob at one revision; every consumer that needs
 //     the decoded form (watch cache, TypedWatch deliveries to N informers,
 //     namespace admission) shares a single parse of it.
-//   * WatchCache<T> — a per-kind map of decoded objects maintained from the
-//     store's own event stream (a prefix watch with bookmark_interval=1, so
-//     the cache's revision advances in lockstep with EVERY store write, not
-//     just writes to this kind). Serves Get and unpaged selector List with
-//     zero JSON decode bytes; the apiserver falls back to the store for paged
-//     / continue-token reads and whenever the cache is unhealthy or stale.
+//   * WatchCache — ONE cache per apiserver front end, maintained from ONE
+//     unfiltered watch on the store's whole keyspace. Every store revision
+//     reaches it as a data event, so its revision advances in lockstep with
+//     every write without bookmarks. A single apply strand routes each event
+//     by key prefix (/registry/<Kind>/) into the decoded map of its kind;
+//     kinds nobody has read through the cache only advance the revision and
+//     are never decoded. Serves Get and unpaged selector List with zero JSON
+//     decode bytes; the apiserver falls back to the store for paged /
+//     continue-token reads and whenever the cache is unhealthy or stale.
 //
 // Freshness contract (kube's waitUntilFreshAndBlock): a read first asks the
 // store for its current revision, then blocks briefly until the cache has
@@ -18,16 +21,25 @@
 // read-your-write consistent with any Put that returned before the read
 // began. If the cache cannot catch up in time the caller serves from the
 // store instead — the cache is an accelerator, never a correctness risk.
+//
+// Kind registration floor: the first read of a kind primes its map from a
+// store snapshot at revision L (under the cache lock, so the strand cannot be
+// past L), and the strand ignores that kind's events at revisions <= L. The
+// kind's map is then exactly the store's state at max(revision, L), which is
+// the revision its reads are served (and traced) at.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/codec.h"
@@ -100,280 +112,168 @@ class DecodeCache {
   std::atomic<uint64_t> decoded_bytes_{0};
 };
 
-template <typename T>
 class WatchCache {
  public:
-  struct Item {
-    std::shared_ptr<const T> obj;  // resource_version stamped = mod_revision
-    kv::Blob blob;                 // raw encoding, for field-selector scans
-    int64_t mod_revision = 0;
-  };
-
-  WatchCache(kv::KvStore* store, std::string prefix,
-             std::shared_ptr<DecodeCache> decode, std::shared_ptr<Executor> exec,
-             size_t watch_buffer = 1 << 16)
-      : store_(store),
-        prefix_(std::move(prefix)),
-        decode_(std::move(decode)),
-        exec_(std::move(exec)),
-        watch_buffer_(watch_buffer) {
-    Rebuild();  // synchronous so the first read after construction can hit
-  }
-
+  WatchCache(kv::KvStore* store, std::shared_ptr<DecodeCache> decode,
+             std::shared_ptr<Executor> exec, size_t watch_buffer = 1 << 16);
   ~WatchCache() { Stop(); }
 
   WatchCache(const WatchCache&) = delete;
   WatchCache& operator=(const WatchCache&) = delete;
 
-  bool healthy() const {
-    std::lock_guard<std::mutex> l(mu_);
-    return healthy_;
-  }
-  int64_t revision() const {
-    std::lock_guard<std::mutex> l(mu_);
-    return revision_;
-  }
+  // The routing rule: a key's kind prefix is everything up to the slash that
+  // ends /registry/<Kind>/ (empty for keys outside that layout).
+  static std::string_view KindPrefixOf(std::string_view key);
+
+  bool healthy() const;
+  int64_t revision() const;
+  size_t kinds() const;
   uint64_t rebuilds() const { return rebuilds_.load(std::memory_order_relaxed); }
+  // Apply tasks submitted to the executor: at most one per burst of commits,
+  // however many kinds are cached.
+  uint64_t apply_tasks() const { return apply_tasks_.load(std::memory_order_relaxed); }
 
-  // Blocks (real time, bounded) until the cache has applied `target`.
-  // Returns false when unhealthy or the deadline passes — caller must serve
-  // from the store. `target` must be a PUBLISHED revision — the store's
-  // RevisionFence(), not its minted counter: with the sharded store a commit
-  // exists between minting and publication, and waiting on an unpublished
-  // revision would stall reads behind a write that has not reached the watch
-  // stream yet. RevisionFence() also guarantees read-your-write, because a
-  // mutation only returns after its own revision publishes.
-  bool WaitFresh(int64_t target, Duration timeout) {
-    BlockingRegion blocking;  // reconcilers call reads from pool tasks
-    std::unique_lock<std::mutex> l(mu_);
-    cv_.wait_for(l, timeout, [&] { return !healthy_ || revision_ >= target; });
-    const bool fresh = healthy_ && revision_ >= target;
-    if (fresh) {
-      // Still under mu_: revision_ is exactly what this read will serve from.
-      // The checker's read-your-write pass asserts revision >= arg (target).
-      trace::Emit(trace::Component::kWatchCache, trace::Verb::kCacheServe,
-                  trace::CurrentTraceId(), revision_, prefix_,
-                  static_cast<uint64_t>(target));
-    }
-    return fresh;
-  }
+  // Breaks the cache's store watch with Gone; the strand rebuilds from a
+  // fresh snapshot (front-end Restart over a shared store).
+  void BreakWatch();
 
-  // Fresh read of one key. Unavailable = cache cannot serve (fall back to the
-  // store); NotFound = authoritative "does not exist as of a fresh revision".
-  Result<std::shared_ptr<const T>> GetFresh(const std::string& key, int64_t target,
+  // Fresh read of one key of the kind under kind_prefix (registering the kind
+  // on first use). Unavailable = cache cannot serve (fall back to the store);
+  // NotFound = authoritative "does not exist as of a fresh revision".
+  // `target` must be a PUBLISHED revision — the store's RevisionFence(), not
+  // its minted counter: with the sharded store a commit exists between minting
+  // and publication, and waiting on an unpublished revision would stall reads
+  // behind a write that has not reached the watch stream yet. RevisionFence()
+  // also guarantees read-your-write, because a mutation only returns after its
+  // own revision publishes.
+  template <typename T>
+  Result<std::shared_ptr<const T>> GetFresh(const std::string& kind_prefix,
+                                            const std::string& key, int64_t target,
                                             Duration timeout) {
-    if (!WaitFresh(target, timeout)) return UnavailableError("watch cache not fresh");
-    std::lock_guard<std::mutex> l(mu_);
-    if (!healthy_) return UnavailableError("watch cache unhealthy");
-    auto it = items_.find(key);
-    if (it == items_.end()) return NotFoundError("not in watch cache");
-    return it->second.obj;
+    std::unique_lock<std::mutex> l(mu_);
+    Kind& k = KindLocked<T>(kind_prefix);
+    if (!WaitFreshLocked(l, kind_prefix, k, target, timeout)) {
+      return UnavailableError("watch cache not fresh");
+    }
+    auto it = k.items.find(key);
+    if (it == k.items.end()) return NotFoundError("not in watch cache");
+    return std::static_pointer_cast<const T>(it->second.obj);
   }
 
-  // Fresh snapshot scan of every item under key_prefix, in key order, under
-  // one lock hold (consistent at *revision_out). Returns false when the cache
-  // cannot serve. fn: void(const std::string& key, const Item&).
-  template <typename Fn>
-  bool SnapshotScan(const std::string& key_prefix, int64_t target, Duration timeout,
-                    int64_t* revision_out, Fn&& fn) {
-    if (!WaitFresh(target, timeout)) return false;
-    std::lock_guard<std::mutex> l(mu_);
-    if (!healthy_) return false;
-    *revision_out = revision_;
-    for (auto it = items_.lower_bound(key_prefix); it != items_.end(); ++it) {
-      if (!StartsWith(it->first, key_prefix)) break;
-      fn(it->first, it->second);
+  // Fresh snapshot of every item under key_prefix, in key order, taken under
+  // one lock hold (consistent at *revision_out). The snapshot holds shared
+  // pointers only; fn runs after the lock is released, so copying a large
+  // list out never stalls the strand or other kinds' reads. Returns false
+  // when the cache cannot serve. fn: void(const T& obj, const kv::Blob& blob).
+  template <typename T, typename Fn>
+  bool SnapshotScan(const std::string& kind_prefix, const std::string& key_prefix,
+                    int64_t target, Duration timeout, int64_t* revision_out, Fn&& fn) {
+    std::vector<Slot> snap;
+    {
+      std::unique_lock<std::mutex> l(mu_);
+      Kind& k = KindLocked<T>(kind_prefix);
+      if (!WaitFreshLocked(l, kind_prefix, k, target, timeout)) return false;
+      *revision_out = std::max(revision_, k.floor);
+      for (auto it = k.items.lower_bound(key_prefix); it != k.items.end(); ++it) {
+        if (!StartsWith(it->first, key_prefix)) break;
+        snap.push_back(it->second);
+      }
     }
+    for (const Slot& s : snap) fn(*static_cast<const T*>(s.obj.get()), s.blob);
     return true;
   }
 
-  size_t size() const {
-    std::lock_guard<std::mutex> l(mu_);
-    return items_.size();
-  }
+  // Test hook: runs on the rebuild path after the new store watch exists and
+  // before it is published — the window in which a concurrent Stop() once
+  // left a dangling signal on the channel.
+  void TestOnRebuildWatchCreated(std::function<void()> fn);
+  // True once teardown has begun (test hooks poll it).
+  bool stopping() const;
 
  private:
-  // (Re-)prime from a store snapshot and re-arm the event stream. Runs in the
-  // constructor and on the apply strand after the watch breaks (compaction
-  // overrun, BreakWatches/Restart).
-  bool Rebuild() {
-    std::shared_ptr<kv::WatchChannel> old;
-    {
-      std::lock_guard<std::mutex> l(mu_);
-      old = std::move(watch_);
-      healthy_ = false;
-    }
-    if (old) {
-      old->SetSignal(nullptr);
-      old->Cancel();
-    }
-    kv::ListResult snap = store_->List(prefix_);
-    kv::WatchParams params;
-    params.from_revision = snap.revision;
-    params.buffer_capacity = watch_buffer_;
-    // Every store revision must reach us (as data or bookmark) or freshness
-    // waits would stall whenever other kinds are being written.
-    params.bookmark_interval = 1;
-    Result<std::shared_ptr<kv::WatchChannel>> ch = store_->Watch(prefix_, std::move(params));
-    if (!ch.ok()) return false;  // store shut down; stay unhealthy
-    std::map<std::string, Item> items;
-    for (const kv::Entry& e : snap.entries) {
-      Result<std::shared_ptr<const T>> obj =
-          decode_->GetOrDecode<T>(e.mod_revision, e.value, e.mod_revision);
-      if (!obj.ok()) continue;  // malformed blob: leave it to the store path
-      items.emplace(e.key, Item{std::move(*obj), e.value, e.mod_revision});
-    }
-    {
-      std::lock_guard<std::mutex> l(mu_);
-      items_.swap(items);
-      revision_ = snap.revision;
-      watch_ = *ch;
-      healthy_ = true;
-    }
-    cv_.notify_all();
-    rebuilds_.fetch_add(1, std::memory_order_relaxed);
-    // Signal is installed after the channel is published; the ScheduleApply
-    // below picks up anything buffered in the gap.
-    (*ch)->SetSignal([this] { ScheduleApply(); });
-    ScheduleApply();
-    return true;
+  using DecodeFn = Result<std::shared_ptr<const void>> (*)(DecodeCache&, int64_t key,
+                                                           const kv::Blob&, int64_t rev);
+  struct Slot {
+    std::shared_ptr<const void> obj;  // const T, resource_version = mod_revision
+    kv::Blob blob;                    // raw encoding, for field-selector scans
+    int64_t mod_revision = 0;
+  };
+  struct Kind {
+    DecodeFn decode = nullptr;  // set at registration, never changed
+    std::map<std::string, Slot> items;
+    // Registration floor: the snapshot revision the map was primed at; the
+    // strand ignores this kind's events at or below it.
+    int64_t floor = 0;
+  };
+
+  template <typename T>
+  static Result<std::shared_ptr<const void>> DecodeAs(DecodeCache& dc, int64_t key,
+                                                      const kv::Blob& blob, int64_t rev) {
+    Result<std::shared_ptr<const T>> obj = dc.GetOrDecode<T>(key, blob, rev);
+    if (!obj.ok()) return obj.status();
+    return std::shared_ptr<const void>(std::move(*obj));
   }
 
-  void ScheduleApply() {
-    std::lock_guard<std::mutex> l(strand_mu_);
-    if (stopping_ || scheduled_) return;
-    scheduled_ = true;
-    if (!exec_->Submit([this] { RunApply(); })) scheduled_ = false;
+  // Returns the kind's entry, registering and priming it on first use. mu_ held.
+  template <typename T>
+  Kind& KindLocked(const std::string& kind_prefix) {
+    auto it = kinds_.find(kind_prefix);
+    if (it != kinds_.end()) return it->second;
+    Kind& k = kinds_[kind_prefix];
+    k.decode = &DecodeAs<T>;
+    PrimeLocked(kind_prefix, k);
+    return k;
   }
 
-  void RunApply() {
-    {
-      std::lock_guard<std::mutex> l(strand_mu_);
-      scheduled_ = false;
-      if (stopping_) {
-        strand_cv_.notify_all();
-        return;
-      }
-      if (running_) {
-        rerun_ = true;
-        return;
-      }
-      running_ = true;
-      rerun_ = false;
-    }
-    for (;;) {
-      const bool more = ApplyBatch();
-      std::lock_guard<std::mutex> l(strand_mu_);
-      if (stopping_ || (!more && !rerun_)) {
-        running_ = false;
-        strand_cv_.notify_all();
-        return;
-      }
-      rerun_ = false;
-    }
-  }
+  // (Re-)loads one kind's map from a store snapshot and sets its floor. mu_
+  // held: the strand cannot apply past the snapshot while it is taken.
+  void PrimeLocked(const std::string& kind_prefix, Kind& k);
+  // Blocks (real time, bounded) until the kind is served at >= target and
+  // emits the kCacheServe record the history checker certifies. mu_ held.
+  bool WaitFreshLocked(std::unique_lock<std::mutex>& l, const std::string& kind_prefix,
+                       const Kind& k, int64_t target, Duration timeout);
+  Kind* FindKindLocked(std::string_view key);
 
-  // Drains a bounded batch of events into the map. Returns true when more
-  // immediate work remains.
-  bool ApplyBatch() {
-    std::shared_ptr<kv::WatchChannel> w;
-    {
-      std::lock_guard<std::mutex> l(mu_);
-      w = watch_;
-    }
-    if (!w) {
-      // Watch previously broke. Rebuild unless the store is gone for good.
-      if (store_->IsShutdown()) return false;
-      Rebuild();
-      return false;  // Rebuild scheduled its own apply for buffered events
-    }
-    for (int budget = 0; budget < 256; ++budget) {
-      std::optional<kv::Event> e = w->TryNext();
-      if (!e) {
-        if (w->ok()) return false;  // idle and healthy
-        // Dead channel (overflow / BreakWatches / shutdown): drop it and let
-        // the next batch rebuild from a fresh snapshot.
-        w->SetSignal(nullptr);
-        {
-          std::lock_guard<std::mutex> l(mu_);
-          if (watch_ == w) watch_.reset();
-          healthy_ = false;
-        }
-        cv_.notify_all();
-        return true;
-      }
-      Apply(*e);
-    }
-    return true;
-  }
-
-  void Apply(const kv::Event& e) {
-    if (e.type == kv::EventType::kPut) {
-      Result<std::shared_ptr<const T>> obj =
-          decode_->GetOrDecode<T>(e.revision, e.value, e.revision);
-      std::lock_guard<std::mutex> l(mu_);
-      if (obj.ok()) {
-        items_[e.key] = Item{std::move(*obj), e.value, e.revision};
-      } else {
-        items_.erase(e.key);  // malformed: don't serve a stale decode
-      }
-      revision_ = e.revision;
-    } else if (e.type == kv::EventType::kDelete) {
-      std::lock_guard<std::mutex> l(mu_);
-      items_.erase(e.key);
-      revision_ = e.revision;
-    } else {  // bookmark: freshness only
-      std::lock_guard<std::mutex> l(mu_);
-      revision_ = e.revision;
-    }
-    trace::Emit(trace::Component::kWatchCache, trace::Verb::kCacheApply,
-                e.trace, e.revision, e.key.empty() ? prefix_ : e.key);
-    cv_.notify_all();
-  }
-
-  void Stop() {
-    {
-      std::lock_guard<std::mutex> l(strand_mu_);
-      stopping_ = true;
-    }
-    std::shared_ptr<kv::WatchChannel> w;
-    {
-      std::lock_guard<std::mutex> l(mu_);
-      w = std::move(watch_);
-      healthy_ = false;
-    }
-    if (w) {
-      w->SetSignal(nullptr);  // blocks out in-flight signals
-      w->Cancel();
-    }
-    cv_.notify_all();
-    BlockingRegion blocking;  // the apply strand may need a pool slot to finish
-    std::unique_lock<std::mutex> l(strand_mu_);
-    strand_cv_.wait(l, [this] { return !scheduled_ && !running_; });
-  }
+  // Arms a fresh store watch and re-primes every registered kind. Runs in the
+  // constructor and on the strand after the watch breaks (compaction overrun,
+  // BreakWatches, Restart) — the one rebuild path.
+  bool Rebuild();
+  void ScheduleApply();
+  void RunApply();
+  // Drains and applies a bounded batch. Returns true when more immediate work
+  // remains.
+  bool ApplyBatch();
+  void Apply(std::vector<kv::Event>& batch);
+  void Stop();
 
   kv::KvStore* store_;
-  const std::string prefix_;
   std::shared_ptr<DecodeCache> decode_;
   std::shared_ptr<Executor> exec_;
   const size_t watch_buffer_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::map<std::string, Item> items_;
+  std::map<std::string, Kind, std::less<>> kinds_;
   std::shared_ptr<kv::WatchChannel> watch_;
   int64_t revision_ = 0;
   bool healthy_ = false;
+  // Written under mu_ AND strand_mu_, read under either: Rebuild checks it
+  // under mu_ in the same critical section that publishes the watch and
+  // installs its signal, so Stop() either sees that watch or stops the
+  // rebuild from publishing it.
+  bool stopping_ = false;
+  std::function<void()> test_rebuild_hook_;  // guarded by mu_
 
-  // Apply strand: at most one RunApply active; Stop() waits for it.
+  // Apply strand: at most one RunApply active; Stop() waits for it. The
+  // watch signal only ever takes strand_mu_, never mu_.
   std::mutex strand_mu_;
   std::condition_variable strand_cv_;
   bool scheduled_ = false;
   bool running_ = false;
   bool rerun_ = false;
-  bool stopping_ = false;
 
   std::atomic<uint64_t> rebuilds_{0};
+  std::atomic<uint64_t> apply_tasks_{0};
 };
 
 }  // namespace vc::apiserver

@@ -7,8 +7,10 @@
 namespace vc {
 
 RealClock* RealClock::Get() {
-  static RealClock clock;
-  return &clock;
+  // Never destroyed: the process-wide executor's timer thread reads it until
+  // the process is gone, after static destructors have run.
+  static RealClock* clock = new RealClock();
+  return clock;
 }
 
 void RealClock::SleepFor(Duration d) {

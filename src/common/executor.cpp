@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/logging.h"
@@ -84,7 +85,21 @@ Executor::Executor(Options opts)
 
 Executor::~Executor() { Shutdown(); }
 
+void Executor::ReapRetiredLocked() {
+  // Each retiree parked its handle under mu_ and released mu_ as its last
+  // touch of *this, so joining here only waits for its thread exit.
+  for (std::thread& t : retired_) t.join();
+  retired_.clear();
+}
+
+void Executor::CloseRetirement() {
+  std::lock_guard<std::mutex> l(mu_);
+  retire_closed_ = true;
+  ReapRetiredLocked();
+}
+
 void Executor::SpawnWorkerLocked() {
+  ReapRetiredLocked();
   threads_.emplace_back([this] { WorkerLoop(); });
   ++live_;
   ++threads_created_;
@@ -112,7 +127,23 @@ void Executor::WorkerLoop() {
   tls_exec = this;
   std::unique_lock<std::mutex> l(mu_);
   for (;;) {
-    work_cv_.wait(l, [this] { return pool_shutdown_ || !queue_.empty(); });
+    const bool woken = work_cv_.wait_for(
+        l, kSpareIdle, [this] { return pool_shutdown_ || !queue_.empty(); });
+    if (!woken && !retire_closed_ && live_ - blocked_ > target_) {
+      // Idle surplus left over from a blocking burst: retire. The handle
+      // waits in retired_ for a join; releasing mu_ on return is this
+      // thread's last touch of *this.
+      ReapRetiredLocked();
+      --live_;
+      auto self = std::find_if(threads_.begin(), threads_.end(), [](const std::thread& t) {
+        return t.get_id() == std::this_thread::get_id();
+      });
+      if (self != threads_.end()) {
+        retired_.push_back(std::move(*self));
+        threads_.erase(self);
+      }
+      return;
+    }
     if (queue_.empty()) {
       if (pool_shutdown_) return;  // drained
       continue;
@@ -462,6 +493,8 @@ void Executor::Shutdown() {
     std::lock_guard<std::mutex> l(mu_);
     pool_shutdown_ = true;
     workers.swap(threads_);
+    for (std::thread& t : retired_) workers.push_back(std::move(t));
+    retired_.clear();
   }
   work_cv_.notify_all();
   for (std::thread& t : workers) {
@@ -476,11 +509,15 @@ void Executor::Shutdown() {
 
 Executor* Executor::Default() {
   // Leaked on purpose: its threads and timers serve the whole process life.
-  static Executor* exec = new Executor([] {
+  // Retired workers are joined at exit, before the globals their thread-exit
+  // (trace buffer release) touches are destroyed, and none retire after.
+  static Executor* exec = [] {
     Options o;
     o.name = "default-executor";
-    return o;
-  }());
+    auto* e = new Executor(o);
+    std::atexit([] { Default()->CloseRetirement(); });
+    return e;
+  }();
   return exec;
 }
 

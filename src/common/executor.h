@@ -19,9 +19,10 @@
 // - BlockingRegion: RAII marker a pool task wraps around operations that block
 //   the worker (sleeps, joins, waiting on other tasks). The pool compensates
 //   by spawning a spare worker so throughput is preserved and tasks waiting on
-//   other tasks cannot deadlock the bounded pool. Spares are retained (they
-//   become ordinary workers) rather than retired, bounding total threads at
-//   target + max_spare_threads.
+//   other tasks cannot deadlock the bounded pool. A worker that has sat idle
+//   for kSpareIdle while more than `threads` workers are unblocked retires,
+//   so the pool shrinks back to its target once blocking stops; live threads
+//   never exceed target + max_spare_threads.
 //
 // Executors are looked up per Clock via SharedFor(): components derive their
 // executor from the clock they were already constructed with, so the real
@@ -85,6 +86,9 @@ class Executor {
     int max_spare_threads = 256;
   };
 
+  // How long an idle surplus worker lingers before it retires.
+  static constexpr Duration kSpareIdle = Millis(500);
+
   Executor() : Executor(Options{}) {}
   explicit Executor(Options opts);
   ~Executor();
@@ -145,6 +149,10 @@ class Executor {
   void WorkerLoop();
   void TimerLoop();
   void SpawnWorkerLocked();
+  // Joins workers that retired; mu_ held.
+  void ReapRetiredLocked();
+  // Joins retired workers and stops further retirement (process exit).
+  void CloseRetirement();
   void OnBlocked();
   void OnUnblocked();
 
@@ -170,6 +178,10 @@ class Executor {
   std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> threads_;
+  // Workers that retired themselves, awaiting a join (by the next spawn or
+  // retirement, Shutdown, or CloseRetirement).
+  std::vector<std::thread> retired_;
+  bool retire_closed_ = false;
   int target_ = 0;
   int max_live_ = 0;
   int live_ = 0;

@@ -228,7 +228,7 @@ class CrdSyncer {
       // AlreadyExists == informer lag; other failures are transient. Retry.
       return false;
     }
-    if (DownwardFingerprint(*existing) == DownwardFingerprint(desired)) return true;
+    if (DownwardNormalize(*existing) == DownwardNormalize(desired)) return true;
     T updated = desired;
     updated.meta.uid = existing->meta.uid;
     updated.meta.resource_version = existing->meta.resource_version;

@@ -36,7 +36,7 @@ struct GpuJob {
   int32_t ready_replicas = 0;
   std::string scheduler_message;
 
-  // CRD hook consumed by ToSuper/DownwardFingerprint: these fields belong to
+  // CRD hook consumed by ToSuper/DownwardNormalize: these fields belong to
   // the super cluster's scheduler plugin.
   static void ClearSuperOwned(GpuJob& j) {
     j.phase = "Pending";

@@ -129,11 +129,14 @@ T ToSuper(const TenantMapping& map, const T& tenant_obj) {
   return out;
 }
 
-// Canonical fingerprint of the fields the DOWNWARD direction owns. Two
-// objects with equal fingerprints need no downward update. Status and
-// super-owned fields (pod nodeName, PVC binding) are excluded.
+// The object reduced to the fields the DOWNWARD direction owns. Two objects
+// whose normalized forms compare equal (the types' defaulted operator==) need
+// no downward update. Status and super-owned fields (pod nodeName, PVC
+// binding) are excluded. Compared as structs, not encodings: a no-op
+// reconcile encodes nothing (api_test pins struct equality to encoding
+// equality with a codec round trip over every synced kind).
 template <typename T>
-std::string DownwardFingerprint(const T& obj) {
+T DownwardNormalize(const T& obj) {
   T norm = obj;
   norm.meta.uid.clear();
   norm.meta.resource_version = 0;
@@ -165,7 +168,7 @@ std::string DownwardFingerprint(const T& obj) {
   if constexpr (requires(T& t) { T::ClearSuperOwned(t); }) {
     T::ClearSuperOwned(norm);
   }
-  return api::Encode(norm);
+  return norm;
 }
 
 // Reads origin annotations from a super-cluster shadow object. Returns false

@@ -667,7 +667,7 @@ Syncer::DownResult Syncer::SyncDownObj(TenantState& ts, const std::string& tenan
     return DownResult::kCreated;
   }
 
-  if (DownwardFingerprint(*existing) == DownwardFingerprint(desired)) {
+  if (DownwardNormalize(*existing) == DownwardNormalize(desired)) {
     return DownResult::kNoop;
   }
 
@@ -939,8 +939,8 @@ Syncer::ScanRound Syncer::ScanKind(TenantState& ts) {
     if (!shadow) {
       mismatch = !tenant_obj->meta.deleting();
     } else {
-      mismatch = DownwardFingerprint(*shadow) !=
-                 DownwardFingerprint(ToSuper(ts.map, *tenant_obj));
+      mismatch = DownwardNormalize(*shadow) !=
+                 DownwardNormalize(ToSuper(ts.map, *tenant_obj));
     }
     if (mismatch) {
       downward_->Enqueue(ts.map.tenant_id,

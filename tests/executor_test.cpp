@@ -243,7 +243,39 @@ TEST(ExecutorTest, BlockingRegionSpawnsCompensation) {
   EXPECT_TRUE(Eventually([&] { return unblocked.load(); }));
   release = true;
   exec.Wait();
-  EXPECT_GE(exec.threads(), 2);  // the spare was retained as a worker
+  EXPECT_GE(exec.threads_created(), 3u);  // worker + timer thread + the spare
+}
+
+// Spares outlive the blocking that spawned them only by Executor::kSpareIdle:
+// after repeated blocking bursts the pool shrinks back to its target instead
+// of keeping every spare it ever made.
+TEST(ExecutorTest, IdleSparesRetireBackToTarget) {
+  Executor::Options o;
+  o.threads = 2;
+  Executor exec(o);
+  constexpr int kBlockers = 4;
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    std::atomic<int> entered{0};
+    std::atomic<bool> release{false};
+    for (int i = 0; i < kBlockers; ++i) {
+      ASSERT_TRUE(exec.Submit([&] {
+        BlockingRegion br;
+        entered++;
+        while (!release.load()) RealClock::Get()->SleepFor(Millis(1));
+      }));
+    }
+    // Every blocker runs at once only because each block spawned a spare.
+    ASSERT_TRUE(Eventually([&] { return entered.load() == kBlockers; }));
+    EXPECT_GE(exec.threads(), kBlockers);
+    release = true;
+    exec.Wait();
+  }
+  EXPECT_TRUE(Eventually([&] { return exec.threads() == 2; }, 10000))
+      << exec.threads() << " live workers";
+  // The pool still works (and still compensates) after shrinking.
+  std::atomic<bool> ran{false};
+  ASSERT_TRUE(exec.Submit([&] { ran = true; }));
+  EXPECT_TRUE(Eventually([&] { return ran.load(); }));
 }
 
 TEST(ExecutorTest, SharedForReturnsSameExecutorPerClock) {

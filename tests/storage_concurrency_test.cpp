@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "apiserver/apiserver.h"
+#include "apiserver/frontend_tier.h"
 #include "common/thread_pool.h"
 #include "common/trace_check.h"
 #include "kv/kvstore.h"
@@ -20,8 +21,12 @@
 namespace vc::kv {
 namespace {
 
+using api::ConfigMap;
 using api::Pod;
 using apiserver::APIServer;
+using apiserver::DecodeCache;
+using apiserver::FrontendTier;
+using apiserver::WatchCache;
 using apiserver::GetOptions;
 using apiserver::ListOptions;
 using apiserver::TypedList;
@@ -301,6 +306,269 @@ TEST(StorageConcurrencyTest, WatchCacheReadYourWrite) {
   trace::CheckReport report = trace::DrainAndCheck(copts);
   EXPECT_TRUE(report.certified) << report.Summary();
   EXPECT_GT(report.fresh_serves, 0u);
+}
+
+// ------------------------------------------------- store-wide watch cache
+
+template <typename Pred>
+bool Eventually(Pred pred, int timeout_ms = 10000) {
+  for (int i = 0; i < timeout_ms; ++i) {
+    if (pred()) return true;
+    RealClock::Get()->SleepFor(Millis(1));
+  }
+  return pred();
+}
+
+Pod NamedPod(const std::string& name) {
+  Pod p;
+  p.meta.ns = "default";
+  p.meta.name = name;
+  api::Container c;
+  c.name = "app";
+  c.image = "img";
+  p.spec.containers.push_back(c);
+  return p;
+}
+
+ConfigMap NamedConfigMap(const std::string& name, const std::string& v) {
+  ConfigMap m;
+  m.meta.ns = "default";
+  m.meta.name = name;
+  m.data["v"] = v;
+  return m;
+}
+
+// name -> resourceVersion of every object of kind T, read through the store
+// (a paged list never touches the watch cache).
+template <typename T>
+std::map<std::string, int64_t> StoreState(APIServer& server) {
+  ListOptions paged;
+  paged.limit = 1 << 20;
+  Result<TypedList<T>> l = server.List<T>(paged);
+  EXPECT_TRUE(l.ok()) << l.status();
+  std::map<std::string, int64_t> out;
+  for (const T& o : l->items) out[o.meta.name] = o.meta.resource_version;
+  return out;
+}
+
+template <typename T>
+std::map<std::string, int64_t> CacheState(APIServer& server) {
+  const uint64_t served = server.stats().cache_served_lists.load();
+  Result<TypedList<T>> l = server.List<T>();
+  EXPECT_TRUE(l.ok()) << l.status();
+  EXPECT_GT(server.stats().cache_served_lists.load(), served) << "list fell back to the store";
+  std::map<std::string, int64_t> out;
+  for (const T& o : l->items) out[o.meta.name] = o.meta.resource_version;
+  return out;
+}
+
+// One cache serves every kind at one revision: a write to kind A advances the
+// revision that a fresh read of kind B waits for, and every serve is
+// certified read-your-write.
+TEST(StoreCacheTest, ReadYourWriteAcrossKinds) {
+  trace::Reset();
+  APIServer server({});
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 30;
+  ParallelFor(kThreads, [&](int t) {
+    for (int i = 0; i < kRounds; ++i) {
+      const std::string name = "t" + std::to_string(t) + "-" + std::to_string(i);
+      Result<Pod> pod = server.Create(NamedPod(name));
+      ASSERT_TRUE(pod.ok()) << pod.status();
+      // Kind B read right after a kind-A write: served at >= that write.
+      Result<ConfigMap> missing = server.Get<ConfigMap>("default", name);
+      EXPECT_TRUE(missing.status().IsNotFound()) << missing.status();
+      Result<ConfigMap> cm = server.Create(NamedConfigMap(name, "x"));
+      ASSERT_TRUE(cm.ok()) << cm.status();
+      Result<Pod> got_pod = server.Get<Pod>("default", name);
+      ASSERT_TRUE(got_pod.ok()) << got_pod.status();
+      EXPECT_EQ(got_pod->meta.resource_version, pod->meta.resource_version);
+      Result<ConfigMap> got_cm = server.Get<ConfigMap>("default", name);
+      ASSERT_TRUE(got_cm.ok()) << got_cm.status();
+      EXPECT_EQ(got_cm->meta.resource_version, cm->meta.resource_version);
+    }
+  });
+  EXPECT_GT(server.stats().cache_served_gets.load(), 0u);
+  EXPECT_EQ(server.watch_cache()->kinds(), 2u);  // Pod, ConfigMap
+  EXPECT_EQ(CacheState<Pod>(server), StoreState<Pod>(server));
+  EXPECT_EQ(CacheState<ConfigMap>(server), StoreState<ConfigMap>(server));
+  trace::CheckOptions copts;
+  copts.single_store = true;
+  trace::CheckReport report = trace::DrainAndCheck(copts);
+  EXPECT_TRUE(report.certified) << report.Summary();
+  EXPECT_GT(report.fresh_serves, 0u);
+}
+
+// A kind first read while writes to it are in flight is primed from a
+// snapshot at L and then applies exactly the events above L: no event lost
+// between the snapshot and the registration, none applied twice.
+TEST(StoreCacheTest, KindRegisteredMidTrafficSeesStoreState) {
+  APIServer server({});
+  std::atomic<int> writes{0};
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (int i = 0; !stop.load(); ++i) {
+      const std::string name = "cm-" + std::to_string(i % 40);
+      Result<ConfigMap> cur = server.Get<ConfigMap>("default", name);
+      if (!cur.ok()) {
+        (void)server.Create(NamedConfigMap(name, std::to_string(i)));
+      } else if (i % 7 == 0) {
+        (void)server.Delete<ConfigMap>("default", name);
+      } else {
+        cur->data["v"] = std::to_string(i);
+        (void)server.Update(std::move(*cur));
+      }
+      (void)server.Create(NamedPod("pod-" + std::to_string(i)));
+      writes++;
+    }
+  });
+  ASSERT_TRUE(Eventually([&] { return writes.load() >= 50; }));
+  // First cache read of Secret kind mid-traffic: registers and primes it.
+  ASSERT_TRUE(server.List<api::Secret>().ok());
+  ASSERT_TRUE(Eventually([&] { return writes.load() >= 150; }));
+  Result<TypedList<Pod>> mid = server.List<Pod>();  // registers Pod mid-traffic
+  ASSERT_TRUE(mid.ok());
+  for (const Pod& p : mid->items) EXPECT_LE(p.meta.resource_version, mid->revision);
+  ASSERT_TRUE(Eventually([&] { return writes.load() >= 300; }));
+  stop = true;
+  writer.join();
+  EXPECT_EQ(CacheState<ConfigMap>(server), StoreState<ConfigMap>(server));
+  EXPECT_EQ(CacheState<Pod>(server), StoreState<Pod>(server));
+  EXPECT_TRUE(CacheState<api::Secret>(server).empty());
+}
+
+// The one rebuild path: whatever broke the watch, the cache re-arms from a
+// fresh snapshot and serves every write made since.
+void ExpectRebuiltAndServing(APIServer& server, uint64_t rebuilds_before,
+                             const std::string& tag) {
+  WatchCache* cache = server.watch_cache();
+  ASSERT_TRUE(Eventually([&] { return cache->rebuilds() > rebuilds_before && cache->healthy(); }))
+      << tag << ": rebuilds=" << cache->rebuilds();
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(server.Create(NamedPod(tag + "-" + std::to_string(i))).ok());
+  }
+  const uint64_t served = server.stats().cache_served_gets.load();
+  Result<Pod> got = server.Get<Pod>("default", tag + "-4");
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_GT(server.stats().cache_served_gets.load(), served) << tag;
+  EXPECT_EQ(CacheState<Pod>(server), StoreState<Pod>(server)) << tag;
+}
+
+TEST(StoreCacheTest, RebuildsAfterBreakWatches) {
+  APIServer server({});
+  ASSERT_TRUE(server.Create(NamedPod("seed")).ok());
+  ASSERT_TRUE(server.Get<Pod>("default", "seed").ok());
+  const uint64_t before = server.watch_cache()->rebuilds();
+  server.store().BreakWatches();
+  ExpectRebuiltAndServing(server, before, "break");
+}
+
+TEST(StoreCacheTest, RebuildsAfterRestart) {
+  FrontendTier tier({});  // two front ends over one store
+  for (size_t fe = 0; fe < tier.size(); ++fe) {
+    APIServer& server = tier.frontend(fe);
+    ASSERT_TRUE(server.List<Pod>().ok());
+    const uint64_t before = server.watch_cache()->rebuilds();
+    server.Restart();  // fe0 owns the store (BreakWatches); fe1 breaks its own
+    ExpectRebuiltAndServing(server, before, "restart-fe" + std::to_string(fe));
+  }
+}
+
+// A cache whose strand falls a whole watch buffer behind is poisoned Gone by
+// the store (the overrun a slow watcher gets) and rebuilds from a snapshot.
+TEST(StoreCacheTest, RebuildsAfterWatchOverrun) {
+  KvStore store;
+  Executor::Options eo;
+  eo.threads = 1;
+  auto exec = std::make_shared<Executor>(eo);
+  WatchCache cache(&store, std::make_shared<DecodeCache>(), exec, /*watch_buffer=*/8);
+  const std::string kind = APIServer::KindPrefix<Pod>();
+  auto put = [&](const std::string& name) {
+    ASSERT_TRUE(store.Put(APIServer::Key<Pod>("default", name), api::Encode(NamedPod(name))).ok());
+  };
+  put("seed");
+  ASSERT_TRUE(cache.GetFresh<Pod>(kind, APIServer::Key<Pod>("default", "seed"),
+                                  store.RevisionFence(), Seconds(5)).ok());
+  // Hold the cache's only worker so its strand cannot drain.
+  std::atomic<bool> release{false};
+  ASSERT_TRUE(exec->Submit([&] {
+    while (!release.load()) RealClock::Get()->SleepFor(Millis(1));
+  }));
+  for (int i = 0; i < 20; ++i) put("p" + std::to_string(i));
+  store.FlushWatchDispatch();  // the 9th undrained event overflows the buffer
+  release = true;
+  ASSERT_TRUE(Eventually([&] { return cache.rebuilds() >= 2 && cache.healthy(); }));
+  for (int i = 0; i < 20; ++i) {
+    Result<std::shared_ptr<const Pod>> got =
+        cache.GetFresh<Pod>(kind, APIServer::Key<Pod>("default", "p" + std::to_string(i)),
+                            store.RevisionFence(), Seconds(5));
+    ASSERT_TRUE(got.ok()) << i << ": " << got.status();
+  }
+  exec->Wait();
+}
+
+// Regression for the FrontendTier teardown use-after-free: a Stop() that
+// lands while the strand is rebuilding — after the new store watch exists,
+// before it is published — must leave no signal on that watch, because the
+// store fires it again when it shuts down (CloseGone). The hook forces that
+// interleaving on every run; asan reports the dangling signal.
+TEST(StoreCacheTest, StopDuringRebuildLeavesNoSignalBehind) {
+  auto store = std::make_shared<KvStore>();
+  auto cache = std::make_unique<WatchCache>(store.get(), std::make_shared<DecodeCache>(),
+                                            Executor::SharedFor(nullptr));
+  WatchCache* raw = cache.get();
+  ASSERT_TRUE(raw->GetFresh<Pod>(APIServer::KindPrefix<Pod>(), "/registry/Pod/default/x",
+                                 store->RevisionFence(), Seconds(5))
+                  .status()
+                  .IsNotFound());
+  std::atomic<bool> in_gap{false};
+  raw->TestOnRebuildWatchCreated([&] {
+    in_gap = true;
+    while (!raw->stopping()) RealClock::Get()->SleepFor(Millis(1));
+  });
+  store->BreakWatches();  // the strand sees Gone and rebuilds into the hook
+  ASSERT_TRUE(Eventually([&] { return in_gap.load(); }));
+  cache.reset();      // Stop() runs inside the rebuild window
+  store->Shutdown();  // CloseGone fires every remaining channel's signal
+}
+
+// Guard for the store-wide design: one commit wakes the cache once, however
+// many kinds it serves (a cache per kind used to mean a task per kind).
+TEST(StoreCacheTest, OneCommitSchedulesAtMostOneApplyTask) {
+  ManualClock clock;
+  APIServer::Options o;
+  o.clock = &clock;
+  APIServer server(std::move(o));
+  std::shared_ptr<Executor> exec = Executor::SharedFor(&clock);
+  WatchCache* cache = server.watch_cache();
+  auto quiesce = [&] {
+    server.store().FlushWatchDispatch();
+    exec->Wait();
+  };
+  auto tasks_for_one_commit = [&](const std::string& name) {
+    quiesce();
+    const uint64_t before = cache->apply_tasks();
+    EXPECT_TRUE(server.Create(NamedPod(name)).ok());
+    quiesce();
+    return cache->apply_tasks() - before;
+  };
+  ASSERT_TRUE(server.Get<Pod>("default", "none").status().IsNotFound());
+  EXPECT_EQ(tasks_for_one_commit("one-kind"), 1u);
+  // Read eleven more kinds through the cache: twelve cached kinds.
+  (void)server.List<api::Service>();
+  (void)server.List<api::Endpoints>();
+  (void)server.List<api::Node>();
+  (void)server.List<api::NamespaceObj>();
+  (void)server.List<api::Secret>();
+  (void)server.List<ConfigMap>();
+  (void)server.List<api::ServiceAccount>();
+  (void)server.List<api::PersistentVolume>();
+  (void)server.List<api::PersistentVolumeClaim>();
+  (void)server.List<api::ReplicaSet>();
+  (void)server.List<api::Deployment>();
+  EXPECT_EQ(cache->kinds(), 12u);
+  EXPECT_EQ(tasks_for_one_commit("twelve-kinds"), 1u);
+  EXPECT_TRUE(server.Get<Pod>("default", "twelve-kinds").ok());
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 // behaviour, and the periodic scan.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/thread_pool.h"
+#include "vc/crds.h"
 #include "vc/deployment.h"
 
 namespace vc::core {
@@ -99,26 +102,178 @@ TEST(ConversionTest, FingerprintIgnoresVolatileAndSuperOwnedFields) {
   mutated.spec.node_name = "node-7";
   mutated.status.phase = api::PodPhase::kRunning;
   mutated.status.pod_ip = "10.32.0.5";
-  EXPECT_EQ(DownwardFingerprint(shadow), DownwardFingerprint(mutated));
+  EXPECT_TRUE(DownwardNormalize(shadow) == DownwardNormalize(mutated));
   // But a real spec change is detected.
   api::Pod drifted = mutated;
   drifted.spec.containers[0].image = "nginx:v2";
-  EXPECT_NE(DownwardFingerprint(shadow), DownwardFingerprint(drifted));
+  EXPECT_FALSE(DownwardNormalize(shadow) == DownwardNormalize(drifted));
   // And a label change too.
   api::Pod relabeled = mutated;
   relabeled.meta.labels["app"] = "canary";
-  EXPECT_NE(DownwardFingerprint(shadow), DownwardFingerprint(relabeled));
+  EXPECT_FALSE(DownwardNormalize(shadow) == DownwardNormalize(relabeled));
 }
 
 TEST(ConversionTest, SyncerAnnotationsNeverFeedBack) {
   TenantMapping m = TenantMapping::ForVc("acme", "uid-1");
   api::Pod tenant_pod = TenantPod();
   api::Pod shadow = ToSuper(m, tenant_pod);
-  // The upward path stamps the tenant pod; the downward fingerprint must not
+  // The upward path stamps the tenant pod; the downward comparison must not
   // see that as drift (otherwise: infinite sync loop).
   api::Pod stamped = tenant_pod;
   stamped.meta.annotations[kReadyAtAnnotation] = "12345";
-  EXPECT_EQ(DownwardFingerprint(ToSuper(m, stamped)), DownwardFingerprint(shadow));
+  EXPECT_TRUE(DownwardNormalize(ToSuper(m, stamped)) == DownwardNormalize(shadow));
+}
+
+// The downward no-op check compares normalized structs, where it once
+// compared their encodings. The two agree when the codec round-trips every
+// field the struct holds (equal encodings then decode to equal structs, and
+// equal structs always encode alike). Checked on a fully populated object of
+// every synced kind, plus drifts that both comparisons must see and
+// super-side changes that neither may see.
+template <typename T>
+void ExpectStructEqualityMatchesEncoding(const T& populated,
+                                         const std::vector<std::function<void(T&)>>& drifts) {
+  T stored = populated;
+  stored.meta.resource_version = 0;  // stamped from the store revision, never encoded
+  Result<T> back = api::Decode<T>(api::Encode(stored));
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_TRUE(*back == stored) << T::kKind << " codec drops a field: "
+                               << api::Encode(stored) << " vs " << api::Encode(*back);
+  const T norm = DownwardNormalize(populated);
+  for (size_t i = 0; i < drifts.size(); ++i) {
+    T drifted = populated;
+    drifts[i](drifted);
+    const T other = DownwardNormalize(drifted);
+    EXPECT_FALSE(other == norm) << T::kKind << " drift " << i;
+    EXPECT_NE(api::Encode(other), api::Encode(norm)) << T::kKind << " drift " << i;
+  }
+  T super_side = populated;
+  super_side.meta.uid = "super-uid";
+  super_side.meta.resource_version = 99;
+  super_side.meta.finalizers.clear();
+  super_side.meta.annotations[kOriginUidAnnotation] = "other";
+  const T same = DownwardNormalize(super_side);
+  EXPECT_TRUE(same == norm) << T::kKind;
+  EXPECT_EQ(api::Encode(same), api::Encode(norm)) << T::kKind;
+}
+
+api::ObjectMeta PopulatedMeta(const std::string& ns, const std::string& name) {
+  api::ObjectMeta m;
+  m.ns = ns;
+  m.name = name;
+  m.uid = "uid-" + name;
+  m.resource_version = 7;
+  m.generation = 3;
+  m.creation_timestamp_ms = 1000;
+  m.deletion_timestamp_ms = 2000;
+  m.labels = {{"app", "web"}, {"tier", "front"}};
+  m.annotations = {{"note", "x"}, {kTenantAnnotation, "acme"}};
+  m.finalizers = {"f/one"};
+  m.owner_references = {{"ReplicaSet", "web", "rs-uid", true}};
+  return m;
+}
+
+TEST(ConversionTest, StructEqualityMatchesEncodingForSyncedKinds) {
+  api::Pod pod;
+  pod.meta = PopulatedMeta("prod", "web-0");
+  api::Container c;
+  c.name = "app";
+  c.image = "nginx";
+  c.command = {"run", "--fast"};
+  c.env = {{"K", "V"}};
+  c.requests = {250, 64 << 20};
+  c.limits = {500, 128 << 20};
+  pod.spec.init_containers = {c};
+  pod.spec.containers = {c};
+  pod.spec.node_selector = {{"zone", "a"}};
+  pod.spec.node_name = "node-1";
+  pod.spec.tolerations = {{"k", api::Toleration::Op::kExists, "", "NoSchedule"}};
+  api::PodAffinityTerm term;
+  term.selector.match_labels = {{"app", "db"}};
+  term.selector.match_expressions = {
+      {"track", api::LabelSelectorRequirement::Op::kIn, {"stable", "canary"}}};
+  term.topology_key = "zone";
+  pod.spec.required_anti_affinity = {term};
+  pod.spec.required_affinity = {term};
+  pod.spec.runtime_class = "kata";
+  pod.spec.service_account = "sa";
+  pod.spec.hostname = "h";
+  pod.spec.subdomain = "sub";
+  pod.spec.volumes = {{"v", "sec", "", ""}, {"w", "", "cm", ""}, {"p", "", "", "claim"}};
+  pod.spec.scheduler_name = "custom";
+  pod.status.phase = api::PodPhase::kRunning;
+  pod.status.pod_ip = "10.0.0.1";
+  ExpectStructEqualityMatchesEncoding<api::Pod>(
+      pod, {[](api::Pod& p) { p.spec.containers[0].image = "nginx:v2"; },
+            [](api::Pod& p) { p.spec.containers[0].env[0].value = "W"; },
+            [](api::Pod& p) { p.spec.containers[0].requests.cpu_milli = 300; },
+            [](api::Pod& p) { p.spec.tolerations[0].op = api::Toleration::Op::kEqual; },
+            [](api::Pod& p) { p.spec.required_affinity[0].topology_key = "rack"; },
+            [](api::Pod& p) { p.spec.volumes[2].pvc_name = "other"; },
+            [](api::Pod& p) { p.meta.labels["tier"] = "back"; },
+            [](api::Pod& p) { p.meta.annotations["note"] = "y"; }});
+
+  api::Service svc;
+  svc.meta = PopulatedMeta("prod", "web");
+  svc.spec.selector = {{"app", "web"}};
+  svc.spec.ports = {{"http", 80, 8080, "TCP"}};
+  svc.spec.cluster_ip = "10.96.0.10";
+  svc.spec.type = "NodePort";
+  ExpectStructEqualityMatchesEncoding<api::Service>(
+      svc, {[](api::Service& s) { s.spec.ports[0].target_port = 9090; },
+            [](api::Service& s) { s.spec.ports[0].protocol = "UDP"; },
+            [](api::Service& s) { s.spec.cluster_ip = "None"; },
+            [](api::Service& s) { s.spec.type = "ClusterIP"; }});
+
+  api::Secret secret;
+  secret.meta = PopulatedMeta("prod", "creds");
+  secret.type = "kubernetes.io/tls";
+  secret.data = {{"tls.crt", "abc"}, {"tls.key", "def"}};
+  ExpectStructEqualityMatchesEncoding<api::Secret>(
+      secret, {[](api::Secret& s) { s.data["tls.key"] = "xyz"; },
+               [](api::Secret& s) { s.type = "Opaque"; }});
+
+  api::ConfigMap cm;
+  cm.meta = PopulatedMeta("prod", "conf");
+  cm.data = {{"a", "1"}, {"b", ""}};
+  ExpectStructEqualityMatchesEncoding<api::ConfigMap>(
+      cm, {[](api::ConfigMap& m) { m.data["b"] = "2"; },
+           [](api::ConfigMap& m) { m.data.erase("a"); }});
+
+  api::ServiceAccount sa;
+  sa.meta = PopulatedMeta("prod", "builder");
+  sa.secrets = {"token-a", "token-b"};
+  ExpectStructEqualityMatchesEncoding<api::ServiceAccount>(
+      sa, {[](api::ServiceAccount& s) { s.secrets.pop_back(); }});
+
+  api::PersistentVolumeClaim pvc;
+  pvc.meta = PopulatedMeta("prod", "data");
+  pvc.request_bytes = 1 << 30;
+  pvc.storage_class = "fast";
+  pvc.volume_name = "pv-1";
+  pvc.phase = "Bound";
+  ExpectStructEqualityMatchesEncoding<api::PersistentVolumeClaim>(
+      pvc, {[](api::PersistentVolumeClaim& c) { c.request_bytes = 2 << 20; },
+            [](api::PersistentVolumeClaim& c) { c.storage_class = "slow"; }});
+
+  api::NamespaceObj ns;
+  ns.meta = PopulatedMeta("", "prod");
+  ns.phase = "Terminating";
+  ExpectStructEqualityMatchesEncoding<api::NamespaceObj>(
+      ns, {[](api::NamespaceObj& n) { n.meta.labels["env"] = "prod"; }});
+
+  GpuJob job;
+  job.meta = PopulatedMeta("prod", "train");
+  job.replicas = 4;
+  job.gpus_per_replica = 8;
+  job.framework = "jax";
+  job.queue = "batch";
+  job.phase = "Running";
+  job.ready_replicas = 4;
+  job.scheduler_message = "placed";
+  ExpectStructEqualityMatchesEncoding<GpuJob>(
+      job, {[](GpuJob& j) { j.replicas = 2; }, [](GpuJob& j) { j.gpus_per_replica = 1; },
+            [](GpuJob& j) { j.framework = "pytorch"; }, [](GpuJob& j) { j.queue = "q"; }});
 }
 
 TEST(ConversionTest, OriginRoundTrip) {

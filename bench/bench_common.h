@@ -18,7 +18,7 @@
 
 #include "common/histogram.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "vc/deployment.h"
 
 namespace vc::bench {

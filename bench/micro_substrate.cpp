@@ -14,7 +14,6 @@
 #include "api/codec.h"
 #include "apiserver/apiserver.h"
 #include "client/fairqueue.h"
-#include "client/workqueue.h"
 #include "kv/kvstore.h"
 #include "scheduler/predicates.h"
 
@@ -248,16 +247,6 @@ void BM_ApiServerPutCachedKinds(benchmark::State& state) {
       static_cast<double>(server.stats().cache_served_gets.load());
 }
 BENCHMARK(BM_ApiServerPutCachedKinds)->Arg(1)->Arg(12)->UseRealTime();
-
-void BM_WorkQueueAddGetDone(benchmark::State& state) {
-  client::WorkQueue q;
-  int i = 0;
-  for (auto _ : state) {
-    q.Add("key-" + std::to_string(i++ % 64));
-    if (auto k = q.Get()) q.Done(*k);
-  }
-}
-BENCHMARK(BM_WorkQueueAddGetDone);
 
 // WRR dequeue cost as a function of registered vs active tenants. The
 // rotation only tracks tenants with queued work, so cost must follow

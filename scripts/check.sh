@@ -26,10 +26,11 @@ run_preset() {
 case "${1:-default}" in
   default)
     run_preset default
-    # The executor/workqueue/fairqueue/dispatch/storage/trace/runtime/syncer
-    # suites carry the `concurrency` label; any data race in the shared
-    # executor stack, the storage fan-out, or the reconciler runtime is a hard
-    # failure. The storage/dispatch suites also drain the vc::trace history
+    # The common/executor/kv_durability/fairqueue/dispatch/storage/trace/
+    # runtime/syncer suites carry the `concurrency` label; any data race in
+    # the shared executor stack, the storage fan-out, or the reconciler
+    # runtime (and the scheduler and kubelet loops it hosts) is a hard
+    # failure. Wall-clock-gated tests there run alone (RUN_SERIAL). The storage/dispatch suites also drain the vc::trace history
     # and have the checker certify ordering (no-gap/no-dup, read-your-write,
     # span pairing) on the tsan-interleaved runs.
     run_preset tsan -L concurrency

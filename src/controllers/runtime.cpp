@@ -1,5 +1,6 @@
 #include "controllers/runtime.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -8,6 +9,25 @@
 #include "common/trace.h"
 
 namespace vc::controllers {
+
+Duration ItemBackoff::Next(const std::string& key) {
+  std::lock_guard<std::mutex> l(mu_);
+  int failures = ++failures_[key];
+  Duration d = base_;
+  for (int i = 1; i < failures && d < max_; ++i) d *= 2;
+  return std::min(d, max_);
+}
+
+void ItemBackoff::Forget(const std::string& key) {
+  std::lock_guard<std::mutex> l(mu_);
+  failures_.erase(key);
+}
+
+int ItemBackoff::Failures(const std::string& key) const {
+  std::lock_guard<std::mutex> l(mu_);
+  auto it = failures_.find(key);
+  return it == failures_.end() ? 0 : it->second;
+}
 
 Reconciler::Reconciler(Options opts, ReconcileFn fn)
     : opts_(std::move(opts)),
@@ -96,12 +116,21 @@ void Reconciler::UnregisterTenant(const std::string& tenant) {
 }
 
 void Reconciler::Enqueue(const std::string& tenant, const std::string& key) {
+  TimerHandle superseded;
   {
     // An immediate add supersedes a pending delayed one (promote): drop the
-    // entry so the timer no-ops, then enqueue now.
+    // entry, then enqueue now.
     std::lock_guard<std::mutex> l(delay_mu_);
-    delayed_.erase(tenant + "|" + key);
+    auto it = delayed_.find(tenant + "|" + key);
+    if (it != delayed_.end()) {
+      superseded = std::move(it->second.timer);
+      delayed_.erase(it);
+    }
   }
+  // Cancel, not just orphan: Stop() can only sweep the timers delayed_ still
+  // holds, and an orphan firing after the owner destroyed us would touch
+  // freed memory.
+  superseded.Cancel();
   queue_.Add(tenant, key);
 }
 
@@ -115,17 +144,24 @@ void Reconciler::EnqueueAfter(const std::string& tenant, const std::string& key,
     Enqueue(tenant, key);
     return;
   }
-  std::lock_guard<std::mutex> l(delay_mu_);
-  if (stopping_.load()) return;
-  // Promote-or-drop: a key already in the ready/dirty set will run anyway —
-  // a delayed duplicate would make it run twice.
-  if (queue_.IsQueued(tenant, key)) return;
-  const TimePoint deadline = opts_.clock->Now() + d;
-  auto [it, inserted] = delayed_.try_emplace(tenant + "|" + key);
-  if (!inserted && it->second.deadline <= deadline) return;  // sooner one armed
-  it->second.deadline = deadline;
-  it->second.timer = exec_->RunAfter(
-      d, [this, tenant, key, deadline] { OnDelayed(tenant, key, deadline); });
+  TimerHandle superseded;
+  {
+    std::lock_guard<std::mutex> l(delay_mu_);
+    if (stopping_.load()) return;
+    // Promote-or-drop: a key already in the ready/dirty set will run anyway —
+    // a delayed duplicate would make it run twice.
+    if (queue_.IsQueued(tenant, key)) return;
+    const TimePoint deadline = opts_.clock->Now() + d;
+    auto [it, inserted] = delayed_.try_emplace(tenant + "|" + key);
+    if (!inserted && it->second.deadline <= deadline) return;  // sooner one armed
+    it->second.deadline = deadline;
+    superseded = std::exchange(
+        it->second.timer,
+        exec_->RunAfter(d, [this, tenant, key, deadline] {
+          OnDelayed(tenant, key, deadline);
+        }));
+  }
+  superseded.Cancel();  // outside delay_mu_, as in Enqueue
 }
 
 void Reconciler::EnqueueAfter(const std::string& key, Duration d) {

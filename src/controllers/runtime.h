@@ -1,6 +1,6 @@
 // Shared reconciler runtime — the one control-loop framework every loop in
 // the system runs on (built-in controllers, syncer downward/upward pools,
-// tenant operator, CRD sync).
+// tenant operator, CRD sync, the scheduler and every kubelet's pod worker).
 //
 // Shape: a Reconciler owns a tenant-aware client::FairQueue (paper §III-C:
 // per-tenant sub-queues + weighted round-robin; fair=false degrades to the
@@ -41,13 +41,28 @@
 #include <string>
 
 #include "client/fairqueue.h"
-#include "client/workqueue.h"
 #include "common/clock.h"
 #include "common/executor.h"
 #include "common/histogram.h"
 #include "common/metrics.h"
 
 namespace vc::controllers {
+
+// Per-item exponential backoff: base * 2^(failures-1), capped.
+class ItemBackoff {
+ public:
+  ItemBackoff(Duration base, Duration max) : base_(base), max_(max) {}
+
+  Duration Next(const std::string& key);
+  void Forget(const std::string& key);
+  int Failures(const std::string& key) const;
+
+ private:
+  const Duration base_;
+  const Duration max_;
+  mutable std::mutex mu_;
+  std::map<std::string, int> failures_;
+};
 
 struct ReconcileResult {
   enum class Code { kDone, kRetry, kRequeueAfter };
@@ -141,7 +156,7 @@ class Reconciler {
   Options opts_;
   ReconcileFn fn_;
   client::FairQueue queue_;
-  client::ItemBackoff backoff_;
+  ItemBackoff backoff_;
   std::shared_ptr<Executor> exec_;
   Histogram queue_lat_;      // enqueue → dequeue
   Histogram reconcile_lat_;  // dispatch → completion
@@ -154,9 +169,11 @@ class Reconciler {
   std::atomic<uint64_t> reconciles_{0};
   std::atomic<uint64_t> retries_{0};
 
-  // Pending delayed requeues by full key; entries are superseded by an
-  // immediate Enqueue (timer fires and no-ops on deadline mismatch — timers
-  // are never cancelled under delay_mu_, which OnDelayed takes).
+  // Pending delayed requeues by full key. A superseded entry (promoted by an
+  // immediate Enqueue, or re-armed earlier) has its timer cancelled after
+  // delay_mu_ is released — never under it: OnDelayed takes delay_mu_ and
+  // Cancel blocks on an in-flight callback. A stale fire no-ops on the
+  // deadline mismatch.
   std::mutex delay_mu_;
   std::map<std::string, Delayed> delayed_;
 

@@ -1,7 +1,7 @@
 #include "net/kubeproxy.h"
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 
 namespace vc::net {
 

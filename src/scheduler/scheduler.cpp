@@ -22,12 +22,27 @@ bool HasAffinityTerms(const api::Pod& pod) {
   return !pod.spec.required_anti_affinity.empty() || !pod.spec.required_affinity.empty();
 }
 
+// Retry backoff for an unschedulable pod: 10 ms doubling to this cap, so a
+// pod waiting for capacity is retried at least five times a second.
+constexpr Duration kUnschedulableBackoffMax = Millis(200);
+
+controllers::Reconciler::Options LoopOptions(const Scheduler::Options& opts) {
+  controllers::Reconciler::Options o;
+  o.name = opts.name;
+  o.clock = opts.clock;
+  o.workers = 1;  // sequential, like the default kube-scheduler (§IV-A)
+  o.fair = false;
+  o.backoff_base = Millis(10);
+  o.backoff_max = kUnschedulableBackoffMax;
+  return o;
+}
+
 }  // namespace
 
 Scheduler::Scheduler(Options opts)
-    : opts_(std::move(opts)), exec_(Executor::SharedFor(opts_.clock)) {
-  queue_ = std::make_unique<client::RateLimitingQueue>(opts_.clock, Millis(10),
-                                                       opts_.unschedulable_backoff);
+    : opts_(std::move(opts)),
+      loop_(LoopOptions(opts_), controllers::Reconciler::SyncFn(
+                                    [this](const std::string& key) { return ScheduleOne(key); })) {
   pod_informer_ = std::make_unique<client::SharedInformer<api::Pod>>(
       client::ListerWatcher<api::Pod>(opts_.server, "",
                                       apiserver::RequestContext::System("scheduler")));
@@ -38,12 +53,12 @@ Scheduler::Scheduler(Options opts)
   client::EventHandlers<api::Pod> h;
   h.on_add = [this](const api::Pod& pod) {
     ObservePod(nullptr, std::make_shared<const api::Pod>(pod));
-    if (NeedsScheduling(pod)) queue_->Add(pod.meta.FullName());
+    if (NeedsScheduling(pod)) loop_.Enqueue(pod.meta.FullName());
   };
   h.on_update = [this](const api::Pod& old_pod, const api::Pod& new_pod) {
     ObservePod(std::make_shared<const api::Pod>(old_pod),
                std::make_shared<const api::Pod>(new_pod));
-    if (NeedsScheduling(new_pod)) queue_->Add(new_pod.meta.FullName());
+    if (NeedsScheduling(new_pod)) loop_.Enqueue(new_pod.meta.FullName());
   };
   h.on_delete = [this](const api::Pod& pod) {
     ObservePod(std::make_shared<const api::Pod>(pod), nullptr);
@@ -56,19 +71,11 @@ Scheduler::~Scheduler() { Stop(); }
 void Scheduler::Start() {
   node_informer_->Start();
   pod_informer_->Start();
-  stop_.store(false);
-  queue_->SetReadyCallback([this] { Pump(); });
-  Pump();
+  loop_.Start();
 }
 
 void Scheduler::Stop() {
-  stop_.store(true);
-  queue_->ShutDown();
-  {
-    BlockingRegion br;
-    std::unique_lock<std::mutex> l(pump_mu_);
-    drain_cv_.wait(l, [this] { return active_ == 0; });
-  }
+  loop_.Stop();
   pod_informer_->Stop();
   node_informer_->Stop();
 }
@@ -207,50 +214,6 @@ bool Scheduler::ScheduleOne(const std::string& key) {
     bind_latency_.Record(cycle.Elapsed());
   }
   return true;
-}
-
-void Scheduler::Pump() {
-  std::unique_lock<std::mutex> l(pump_mu_);
-  while (active_ < 1) {
-    std::optional<std::string> key = queue_->TryGet();
-    if (!key) break;
-    ++active_;
-    l.unlock();
-    if (!exec_->Submit([this, k = *key] { Process(k); })) {
-      queue_->Done(*key);
-      l.lock();
-      --active_;
-      drain_cv_.notify_all();
-      continue;
-    }
-    l.lock();
-  }
-}
-
-void Scheduler::Process(const std::string& key) {
-  if (!stop_.load()) {
-    bool done = ScheduleOne(key);
-    if (done) {
-      queue_->Forget(key);
-    } else {
-      queue_->AddRateLimited(key);
-    }
-  }
-  queue_->Done(key);
-  // Hand the slot to the next queued item instead of re-pumping after the
-  // decrement: the moment active_ hits zero Stop() returns and the object
-  // may be destroyed, so the decrement must be the last touch of `this`.
-  std::unique_lock<std::mutex> l(pump_mu_);
-  std::optional<std::string> next;
-  if (!stop_.load()) next = queue_->TryGet();
-  if (next) {
-    l.unlock();
-    if (exec_->Submit([this, k = *next] { Process(k); })) return;  // slot moves on
-    queue_->Done(*next);
-    l.lock();
-  }
-  --active_;
-  drain_cv_.notify_all();
 }
 
 }  // namespace vc::scheduler

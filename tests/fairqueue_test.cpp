@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <thread>
 #include <vector>
 
 #include "client/fairqueue.h"
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 
 namespace vc::client {
 namespace {
@@ -35,6 +36,7 @@ TEST(FairQueueTest, DedupPerTenantKey) {
   q.Add("t1", "a");
   q.Add("t2", "a");  // same key, different tenant: distinct item
   EXPECT_EQ(q.Len(), 2u);
+  EXPECT_EQ(q.adds(), 2u);
   EXPECT_EQ(q.dedups(), 1u);
 }
 
@@ -134,6 +136,32 @@ TEST(FairQueueTest, ReAddDuringProcessingRequeues) {
   EXPECT_EQ(q.Len(), 0u);
 }
 
+// The client-go contract behind the syncer's bounded memory (§III-C): any
+// number of re-adds while an item is processing collapse into one re-queue.
+TEST(FairQueueTest, DirtyWhileProcessingCollapsesManyAdds) {
+  FairQueue q;
+  q.Add("t", "k");
+  auto item = q.Get();
+  for (int i = 0; i < 10; ++i) q.Add("t", "k");
+  q.Done(*item);
+  EXPECT_EQ(q.Len(), 1u);  // one re-queue, not ten
+}
+
+TEST(FairQueueTest, GetBlocksUntilAdd) {
+  FairQueue q;
+  std::atomic<bool> got{false};
+  std::thread t([&] {
+    auto item = q.Get();
+    EXPECT_TRUE(item.has_value());
+    got.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(got.load());
+  q.Add("t", "x");
+  t.join();
+  EXPECT_TRUE(got.load());
+}
+
 TEST(FairQueueTest, EnqueueTimePreservedAcrossDedup) {
   ManualClock clock;
   FairQueue::Options opts;
@@ -215,6 +243,15 @@ TEST(FairQueueTest, ShutdownUnblocksAndDrains) {
   EXPECT_FALSE(q.Get().has_value());
   q.Add("t", "late");
   EXPECT_EQ(q.Len(), 0u);
+}
+
+TEST(FairQueueTest, ShutdownUnblocksBlockedGetter) {
+  FairQueue q;
+  std::thread t([&] { EXPECT_FALSE(q.Get().has_value()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  q.ShutDown();
+  t.join();
+  EXPECT_TRUE(q.ShuttingDown());
 }
 
 TEST(FairQueueTest, ManyTenantsManyWorkersAllProcessed) {

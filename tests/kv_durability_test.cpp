@@ -15,7 +15,7 @@
 
 #include "apiserver/apiserver.h"
 #include "common/hash.h"
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "kv/kvstore.h"
 #include "kv/wal.h"
 

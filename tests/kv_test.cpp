@@ -3,7 +3,7 @@
 #include <atomic>
 #include <thread>
 
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "kv/kvstore.h"
 
 namespace vc::kv {

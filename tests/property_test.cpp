@@ -6,7 +6,7 @@
 
 #include "client/informer.h"
 #include "common/rand.h"
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "kv/kvstore.h"
 
 namespace vc {

@@ -1,16 +1,20 @@
 // Tests for the shared reconciler runtime (controllers/runtime.h): backoff
 // policy, async completions, promote-or-drop dedup between the delayed and
 // ready sets, drain-on-stop with in-flight retries, and the uniform metrics
-// block. Runs under tsan via the `concurrency` ctest label.
+// block — plus teardown of the scheduler and kubelet loops it hosts. Runs
+// under tsan and asan via the `concurrency` ctest label.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <thread>
 
 #include "controllers/runtime.h"
+#include "kubelet/kubelet.h"
+#include "scheduler/scheduler.h"
 
 namespace vc::controllers {
 namespace {
@@ -31,6 +35,26 @@ bool WaitFor(Pred pred, Duration timeout = Seconds(5)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return true;
+}
+
+TEST(ItemBackoffTest, ExponentialGrowthAndCap) {
+  ItemBackoff b(Millis(10), Millis(80));
+  EXPECT_EQ(b.Next("k"), Millis(10));
+  EXPECT_EQ(b.Next("k"), Millis(20));
+  EXPECT_EQ(b.Next("k"), Millis(40));
+  EXPECT_EQ(b.Next("k"), Millis(80));
+  EXPECT_EQ(b.Next("k"), Millis(80));  // capped
+  EXPECT_EQ(b.Failures("k"), 5);
+  b.Forget("k");
+  EXPECT_EQ(b.Failures("k"), 0);
+  EXPECT_EQ(b.Next("k"), Millis(10));
+}
+
+TEST(ItemBackoffTest, IndependentPerKey) {
+  ItemBackoff b(Millis(10), Seconds(1));
+  b.Next("a");
+  b.Next("a");
+  EXPECT_EQ(b.Next("b"), Millis(10));
 }
 
 TEST(ReconcilerTest, ReconcilesEnqueuedKeys) {
@@ -75,6 +99,28 @@ TEST(ReconcilerTest, RequeueAfterRunsAgainWithoutRetryCount) {
   r.Stop();
   EXPECT_EQ(runs.load(), 2);
   EXPECT_EQ(r.retries(), 0u);  // explicit requeue is not a retry
+}
+
+// A delayed add runs no earlier than its delay; a zero delay runs at once.
+TEST(ReconcilerTest, EnqueueAfterDelaysDelivery) {
+  std::mutex mu;
+  std::vector<std::pair<std::string, TimePoint>> runs;
+  Reconciler r(Opts("delay"), Reconciler::SyncFn([&](const std::string& key) {
+                 std::lock_guard<std::mutex> l(mu);
+                 runs.emplace_back(key, RealClock::Get()->Now());
+                 return true;
+               }));
+  r.Start();
+  const TimePoint start = RealClock::Get()->Now();
+  r.EnqueueAfter("t", "later", Millis(50));
+  r.EnqueueAfter("t", "now", Duration::zero());
+  EXPECT_TRUE(WaitFor([&] { return r.reconciles() >= 2; }));
+  r.Stop();
+  std::lock_guard<std::mutex> l(mu);
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].first, "now");
+  EXPECT_EQ(runs[1].first, "later");
+  EXPECT_GE(runs[1].second - start, Millis(50));
 }
 
 // An asynchronous completion (invoked from another thread after the reconcile
@@ -132,6 +178,29 @@ TEST(ReconcilerTest, EnqueuepromotesPendingDelayedAdd) {
   std::this_thread::sleep_for(std::chrono::milliseconds(120));  // past deadline
   EXPECT_EQ(runs.load(), 1) << "stale delayed timer re-ran a promoted key";
   r.Stop();
+}
+
+// Regression (teardown): a delayed add superseded by an immediate Enqueue or
+// by an earlier EnqueueAfter leaves no timer behind. Stop() only sweeps the
+// delayed adds still pending, so a superseded timer that merely no-op'd when
+// it fired would touch a destroyed Reconciler (asan: heap-use-after-free).
+TEST(ReconcilerTest, SupersededDelayedAddsDieWithTheReconciler) {
+  std::atomic<int> runs{0};
+  auto r = std::make_unique<Reconciler>(
+      Opts("superseded"), Reconciler::SyncFn([&](const std::string&) {
+        runs.fetch_add(1);
+        return true;
+      }));
+  r->Start();
+  r->EnqueueAfter("t", "promoted", Millis(60));
+  r->Enqueue("t", "promoted");
+  r->EnqueueAfter("t", "rearmed", Millis(60));
+  r->EnqueueAfter("t", "rearmed", Millis(1));
+  ASSERT_TRUE(WaitFor([&] { return runs.load() >= 2; }));
+  r->Stop();
+  r.reset();
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));  // past 60 ms
+  EXPECT_EQ(runs.load(), 2);
 }
 
 // Regression (drop): EnqueueAfter of a key already sitting in the ready set is
@@ -265,6 +334,120 @@ TEST(ReconcilerTest, DuplicateNamesAreUniquified) {
   std::map<std::string, double> m = reg.Collect();
   EXPECT_EQ(m.count("dup.queue_depth"), 1u);
   EXPECT_EQ(m.count("dup#2.queue_depth"), 1u);
+}
+
+// ------------------------------------------- loops hosted on the runtime
+
+api::Node SmallNode(const std::string& name) {
+  api::Node n;
+  n.meta.name = name;
+  n.meta.labels["kubernetes.io/hostname"] = name;
+  n.status.capacity = {1000, 1ll << 30};
+  n.status.allocatable = n.status.capacity;
+  n.status.conditions = {{api::kNodeReady, true, 1, "KubeletReady"}};
+  return n;
+}
+
+api::Pod PodRequesting(const std::string& name, int64_t cpu) {
+  api::Pod p;
+  p.meta.ns = "default";
+  p.meta.name = name;
+  api::Container c;
+  c.name = "app";
+  c.image = "img";
+  c.requests = {cpu, 1 << 20};
+  p.spec.containers.push_back(c);
+  return p;
+}
+
+std::unique_ptr<kubelet::KubeletFleet> OneKubelet(apiserver::APIServer* server,
+                                                  net::NetworkFabric* fabric,
+                                                  const std::string& node) {
+  auto fleet = std::make_unique<kubelet::KubeletFleet>(server, RealClock::Get());
+  kubelet::Kubelet::Options ko;
+  ko.node_name = node;
+  ko.fabric = fabric;
+  ko.runtimes[""] = std::make_shared<kubelet::MockRuntime>(RealClock::Get(), fabric);
+  fleet->Add(std::move(ko));
+  EXPECT_TRUE(fleet->Start().ok());
+  return fleet;
+}
+
+// A scheduler whose only pod fits no node sits in backoff with a retry timer
+// armed. Stopping and destroying it at once must leave no timer or task that
+// touches the freed object (asan/tsan report it if one fires later).
+TEST(LoopTeardownTest, SchedulerStoppedMidBackoff) {
+  apiserver::APIServer server({});
+  ASSERT_TRUE(server.Create(SmallNode("tiny-0")).ok());
+  scheduler::Scheduler::Options so;
+  so.server = &server;
+  so.cost = scheduler::CostModel{Duration::zero(), Duration::zero(), Duration::zero()};
+  auto sched = std::make_unique<scheduler::Scheduler>(std::move(so));
+  sched->Start();
+  ASSERT_TRUE(sched->WaitForSync(Seconds(5)));
+  ASSERT_TRUE(server.Create(PodRequesting("too-big", 4000)).ok());
+  ASSERT_TRUE(WaitFor([&] { return sched->failed_attempts() >= 3; }));
+  sched->Stop();
+  sched.reset();
+  // Past the 200 ms backoff cap: any retry timer that outlived the scheduler
+  // has fired by now.
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  EXPECT_TRUE(server.Get<api::Pod>("default", "too-big")->spec.node_name.empty());
+}
+
+// Same for a kubelet whose pod retries on a missing Secret.
+TEST(LoopTeardownTest, KubeletStoppedMidRetry) {
+  apiserver::APIServer server({});
+  net::NetworkFabric fabric;
+  auto fleet = OneKubelet(&server, &fabric, "retry-node");
+  api::Pod p = PodRequesting("needs-secret", 100);
+  p.spec.node_name = "retry-node";
+  p.spec.volumes.push_back({"v", "absent", "", ""});
+  ASSERT_TRUE(server.Create(p).ok());
+  ASSERT_TRUE(WaitFor([] {
+    return MetricsRegistry::Global().Collect()["kubelet-retry-node.retries"] >= 3;
+  }));
+  fleet->Stop();
+  fleet.reset();
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  EXPECT_FALSE(server.Get<api::Pod>("default", "needs-secret")->status.Ready());
+}
+
+// Both loops report through the runtime's metrics block in the global
+// registry, like every other control loop.
+TEST(LoopTeardownTest, SchedulerAndKubeletBlocksInGlobalDump) {
+  apiserver::APIServer server({});
+  net::NetworkFabric fabric;
+  auto fleet = OneKubelet(&server, &fabric, "dump-node");
+  scheduler::Scheduler::Options so;
+  so.server = &server;
+  so.name = "dump-scheduler";
+  so.cost = scheduler::CostModel{Duration::zero(), Duration::zero(), Duration::zero()};
+  scheduler::Scheduler sched(std::move(so));
+  sched.Start();
+  ASSERT_TRUE(sched.WaitForSync(Seconds(5)));
+  ASSERT_TRUE(server.Create(PodRequesting("web", 100)).ok());
+  ASSERT_TRUE(WaitFor([&] {
+    Result<api::Pod> pod = server.Get<api::Pod>("default", "web");
+    return pod.ok() && pod->status.Ready();
+  }));
+  const std::string dump = "\n" + MetricsRegistry::Global().DumpText();
+  for (const char* block : {"dump-scheduler", "kubelet-dump-node"}) {
+    for (const char* metric : {"queue_depth", "in_flight", "reconciles", "retries",
+                               "queue_latency_count", "reconcile_latency_count"}) {
+      EXPECT_NE(dump.find(std::string("\n") + block + "." + metric + " "),
+                std::string::npos)
+          << block << "." << metric << " missing from dump";
+    }
+  }
+  // The pod turns Ready inside the kubelet's reconcile, just before the
+  // runtime counts it.
+  EXPECT_TRUE(WaitFor([] {
+    std::map<std::string, double> m = MetricsRegistry::Global().Collect();
+    return m["dump-scheduler.reconciles"] >= 1 && m["kubelet-dump-node.reconciles"] >= 1;
+  }));
+  sched.Stop();
+  fleet->Stop();
 }
 
 }  // namespace

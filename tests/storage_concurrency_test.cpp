@@ -14,7 +14,7 @@
 
 #include "apiserver/apiserver.h"
 #include "apiserver/frontend_tier.h"
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "common/trace_check.h"
 #include "kv/kvstore.h"
 

@@ -5,7 +5,7 @@
 
 #include <functional>
 
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "vc/crds.h"
 #include "vc/deployment.h"
 

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "common/trace.h"
 #include "common/trace_check.h"
 #include "kv/kvstore.h"

@@ -279,6 +279,83 @@ TEST(FairQueueTest, ManyTenantsManyWorkersAllProcessed) {
   EXPECT_EQ(processed.load(), kTenants * kKeysPer);
 }
 
+// The work-queue contract of the shared FIFO mode (`fair = false`), which the
+// scheduler and kubelet loops run on: one global arrival order across
+// tenants, dedup of queued keys, re-queue on Done of a key re-added while
+// processing, drain after shutdown, and no lost item under concurrency.
+TEST(WorkQueueTest, FifoOrder) {
+  FairQueue q(FairOpts(false));
+  q.Add("t1", "a");
+  q.Add("t1", "b");
+  q.Add("t2", "c");  // round-robin would hand this out second
+  EXPECT_EQ(q.Len(), 3u);
+  EXPECT_EQ(q.Get()->key, "a");
+  EXPECT_EQ(q.Get()->key, "b");
+  EXPECT_EQ(q.Get()->key, "c");
+}
+
+TEST(WorkQueueTest, DeduplicatesQueuedItems) {
+  FairQueue q(FairOpts(false));
+  q.Add("t", "a");
+  q.Add("t", "a");
+  q.Add("t", "a");
+  EXPECT_EQ(q.Len(), 1u);
+  EXPECT_EQ(q.adds(), 1u);
+  EXPECT_EQ(q.dedups(), 2u);
+}
+
+// Re-adding an item while it is being processed does not create a second
+// concurrent processor; the item is re-queued on Done.
+TEST(WorkQueueTest, ReAddDuringProcessingRequeuesOnDone) {
+  FairQueue q(FairOpts(false));
+  q.Add("t", "a");
+  q.Add("t", "b");
+  auto a = q.Get();
+  q.Add("t", "a");         // processing → goes dirty
+  EXPECT_EQ(q.Len(), 1u);  // only "b"; "a" not yet re-queued
+  q.Done(*a);
+  EXPECT_EQ(q.Len(), 2u);
+  EXPECT_EQ(q.Get()->key, "b");  // the re-queue goes to the back
+  auto again = q.Get();
+  EXPECT_EQ(again->key, "a");
+  q.Done(*again);
+  EXPECT_EQ(q.Len(), 0u);
+}
+
+TEST(WorkQueueTest, ShutdownDrainsRemainingItems) {
+  FairQueue q(FairOpts(false));
+  q.Add("t1", "a");
+  q.Add("t2", "b");
+  q.ShutDown();
+  EXPECT_EQ(q.Get()->key, "a");
+  EXPECT_EQ(q.Get()->key, "b");
+  EXPECT_FALSE(q.Get().has_value());
+}
+
+TEST(WorkQueueTest, ConcurrentProducersConsumersProcessEverything) {
+  FairQueue q(FairOpts(false));
+  constexpr int kKeys = 500;
+  std::atomic<int> processed{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 4; ++w) {
+    workers.emplace_back([&] {
+      while (auto item = q.Get()) {
+        processed++;
+        q.Done(*item);
+      }
+    });
+  }
+  ParallelFor(4, [&](int t) {
+    for (int i = 0; i < kKeys; ++i) {
+      q.Add("t", "key-" + std::to_string(t) + "-" + std::to_string(i));
+    }
+  });
+  while (q.Len() > 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  q.ShutDown();
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(processed.load(), 4 * kKeys);
+}
+
 // Property sweep: under any tenant count, with equal weights, the max spread
 // between per-tenant completion counts after N dequeues is bounded by 1 when
 // every tenant has ample backlog.

@@ -10,7 +10,9 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "controllers/runtime.h"
 #include "kubelet/kubelet.h"
@@ -101,8 +103,9 @@ TEST(ReconcilerTest, RequeueAfterRunsAgainWithoutRetryCount) {
   EXPECT_EQ(r.retries(), 0u);  // explicit requeue is not a retry
 }
 
-// A delayed add runs no earlier than its delay; a zero delay runs at once.
-TEST(ReconcilerTest, EnqueueAfterDelaysDelivery) {
+// The delaying-queue contract of EnqueueAfter: a delayed add runs no earlier
+// than its delay, and an immediate Enqueue is not held up behind it.
+TEST(DelayingQueueTest, AddAfterDelaysDelivery) {
   std::mutex mu;
   std::vector<std::pair<std::string, TimePoint>> runs;
   Reconciler r(Opts("delay"), Reconciler::SyncFn([&](const std::string& key) {
@@ -113,7 +116,7 @@ TEST(ReconcilerTest, EnqueueAfterDelaysDelivery) {
   r.Start();
   const TimePoint start = RealClock::Get()->Now();
   r.EnqueueAfter("t", "later", Millis(50));
-  r.EnqueueAfter("t", "now", Duration::zero());
+  r.Enqueue("t", "now");
   EXPECT_TRUE(WaitFor([&] { return r.reconciles() >= 2; }));
   r.Stop();
   std::lock_guard<std::mutex> l(mu);
@@ -121,6 +124,49 @@ TEST(ReconcilerTest, EnqueueAfterDelaysDelivery) {
   EXPECT_EQ(runs[0].first, "now");
   EXPECT_EQ(runs[1].first, "later");
   EXPECT_GE(runs[1].second - start, Millis(50));
+}
+
+// A zero delay runs at once, ahead of a long-delayed add, which Stop() then
+// drops without running.
+TEST(DelayingQueueTest, ZeroDelayIsImmediate) {
+  std::mutex mu;
+  std::vector<std::string> runs;
+  Reconciler r(Opts("zero-delay"), Reconciler::SyncFn([&](const std::string& key) {
+                 std::lock_guard<std::mutex> l(mu);
+                 runs.push_back(key);
+                 return true;
+               }));
+  r.Start();
+  r.EnqueueAfter("t", "later", Seconds(30));
+  r.EnqueueAfter("t", "x", Duration::zero());
+  EXPECT_TRUE(WaitFor([&] { return r.reconciles() >= 1; }));
+  r.Stop();
+  std::lock_guard<std::mutex> l(mu);
+  EXPECT_EQ(runs, std::vector<std::string>{"x"});
+}
+
+// The rate-limited retry path: a failed reconcile comes back no earlier than
+// the backoff base, and success ends the retries.
+TEST(RateLimitingQueueTest, RetriesComeBackWithBackoff) {
+  std::mutex mu;
+  std::vector<TimePoint> attempts;
+  Reconciler::Options o = Opts("rate-limited");
+  o.backoff_base = Millis(5);
+  o.backoff_max = Millis(100);
+  Reconciler r(o, Reconciler::SyncFn([&](const std::string&) {
+                 std::lock_guard<std::mutex> l(mu);
+                 attempts.push_back(RealClock::Get()->Now());
+                 return attempts.size() >= 2;  // fail once, then succeed
+               }));
+  r.Start();
+  r.Enqueue("t", "k");
+  EXPECT_TRUE(WaitFor([&] { return r.reconciles() >= 2; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // no 3rd run
+  r.Stop();
+  std::lock_guard<std::mutex> l(mu);
+  ASSERT_EQ(attempts.size(), 2u);
+  EXPECT_GE(attempts[1] - attempts[0], Millis(5));
+  EXPECT_EQ(r.retries(), 1u);
 }
 
 // An asynchronous completion (invoked from another thread after the reconcile
